@@ -52,7 +52,6 @@ class _TiltFamily:
         self.spec = spec
         self.tol = tol
         self.chain = recode(spec, max(base.memory, obs.memory))
-        self.chain.primitivity_power()
         self.gvec = phi_vector(self.chain, base)
         self.pvec = phi_vector(self.chain, obs)
         self.adjacency = self.chain.adjacency.astype(np.float64)

@@ -25,7 +25,7 @@ from .errors import (
     WordTooShort,
 )
 from .sft import Potential, SubshiftSpec, Word, is_admissible
-from .thermo import RecodedChain, equilibrium_measure, phi_vector, pressure
+from .thermo import RecodedChain, gibbs_measure, phi_vector, recode, rpf_solve, transfer_matrix
 
 #: Rows per counter block of the path sampler; sample index i always maps to
 #: block i // CHUNK_ROWS, row i % CHUNK_ROWS, independent of consumption order.
@@ -70,7 +70,9 @@ def leaf_measure(spec: SubshiftSpec, pot: Potential, past: Sequence[int],
         raise InadmissiblePast(f"past of length {len(past)} is shorter than block {k}")
     if not is_admissible(spec, past):
         raise InadmissiblePast(f"past {past} is not admissible")
-    mu = equilibrium_measure(spec, pot, block=k)
+    M = transfer_matrix(recode(spec, k), pot)
+    rpf = rpf_solve(M)
+    mu = gibbs_measure(rpf, M)
     start = past[-k:]
     with np.errstate(divide="ignore"):
         logP = np.where(mu.transition > 0, np.log(np.where(mu.transition > 0, mu.transition, 1.0)), -np.inf)
@@ -80,7 +82,7 @@ def leaf_measure(spec: SubshiftSpec, pot: Potential, past: Sequence[int],
         start_index=mu.chain.index[start],
         transition=mu.transition,
         log_transition=logP,
-        pressure=pressure(spec, pot, block=k),
+        pressure=math.log(rpf.eigenvalue),
         potential=pot,
     )
 

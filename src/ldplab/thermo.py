@@ -10,6 +10,7 @@ come from its Perron eigendata.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -49,8 +50,9 @@ class RecodedChain:
     def primitivity_power(self) -> int:
         """Smallest q with (adjacency ** q) entrywise positive.
 
-        Raises :class:`NotPrimitive` if no power up to the sharp bound works.
-        Recoding a primitive subshift always yields a primitive state graph.
+        :func:`recode` records it in closed form; a chain built by hand gets
+        it from boolean matrix powers, and raises :class:`NotPrimitive` if no
+        power up to the sharp bound works.
         """
         if self._primitivity is None:
             n = self.num_states
@@ -67,7 +69,14 @@ class RecodedChain:
 
 
 def recode(spec: SubshiftSpec, block: int) -> RecodedChain:
-    """Build the ``block``-word chain presentation of the subshift."""
+    """Build the ``block``-word chain presentation of the subshift.
+
+    The chain is primitive with exponent ``p + block - 1``, where ``p`` is
+    the spec's primitivity power: a path of ``q >= block`` steps between two
+    ``block``-words is a base path of ``q - block + 1`` steps between the
+    last symbol of one and the first of the other, and with two or more
+    symbols no shorter path joins every pair.  One symbol gives one state.
+    """
     if block < 1:
         raise ValueError("recoding block must be >= 1")
     states = tuple(admissible_words(spec, block))
@@ -80,7 +89,8 @@ def recode(spec: SubshiftSpec, block: int) -> RecodedChain:
             j = index[w[1:] + (a,)]
             adjacency[i, j] = 1
             step[i, a] = j
-    return RecodedChain(spec, block, states, index, adjacency, step)
+    power = 1 if spec.alphabet_size == 1 else spec.primitivity_power + block - 1
+    return RecodedChain(spec, block, states, index, adjacency, step, _primitivity=power)
 
 
 def phi_vector(chain: RecodedChain, phi: Potential) -> np.ndarray:
@@ -118,7 +128,12 @@ class RPFData:
 
     ``right`` and ``left`` are entrywise positive with ``sum(left) == 1``
     and ``left @ right == 1``; ``residual`` is the achieved relative
-    eigen-equation defect.
+    eigen-equation defect.  ``lower <= eigenvalue <= upper`` is the
+    Collatz-Wielandt bracket of the returned vectors, widened by the
+    rounding error of its evaluation, so it certifies the Perron root of
+    the matrix as stored unless products in ``M @ right`` or ``left @ M``
+    underflow; ``upper`` is ``inf`` if both vectors have underflowed
+    entries.
     """
 
     eigenvalue: float
@@ -126,17 +141,109 @@ class RPFData:
     left: np.ndarray
     residual: float
     iterations: int
+    lower: float
+    upper: float
+
+
+#: Residual contraction is measured over this many power steps.
+_WINDOW = 8
+#: Power iteration continues while it predicts at most
+#: ``max(_POWER_STEPS, n * n / _INVERSE_COST)`` more steps.  One inverse step
+#: (two dense solves) costs about ``n * n / 2000`` power steps with one BLAS
+#: thread at n = 100 to 400, and the inverse phase is charged four steps.
+_POWER_STEPS = 48
+_INVERSE_COST = 500.0
+#: The shift sits this far (relatively) above the Collatz-Wielandt upper
+#: bound, far above its rounding error, so (shift * I - M) stays invertible
+#: with a positive inverse.
+_SHIFT = 1e-12
+#: Inverse steps that narrow neither the residual nor the relative bracket
+#: width to a new low before giving up.
+_STALL = 8
+
+
+def _collatz_wielandt(h: np.ndarray, v: np.ndarray, mh: np.ndarray,
+                      vm: np.ndarray) -> tuple[float, float]:
+    """Bracket of the Perron root from non-negative vectors ``h`` and ``v``.
+
+    For positive ``h``, ``min (Mh)_i / h_i <= lam <= max (Mh)_i / h_i``
+    (Collatz 1942, Wielandt 1950); the same holds for ``v`` and ``vM``, and
+    the two brackets intersect.  The lower bound still holds with the
+    minimum taken over ``h_i > 0``; the upper bound needs every entry
+    positive and is ``inf`` when one has underflowed to zero.
+    """
+    def bounds(x: np.ndarray, mx: np.ndarray) -> tuple[float, float]:
+        pos = x > 0
+        ratio = mx[pos] / x[pos]
+        return float(ratio.min()), (float(ratio.max()) if pos.all() else math.inf)
+
+    lo_h, hi_h = bounds(h, mh)
+    lo_v, hi_v = bounds(v, vm)
+    return max(lo_h, lo_v), min(hi_h, hi_v)
+
+
+def _power_stalls(history: deque[float], tol: float, n: int) -> bool:
+    """Whether the residual contraction over the last ``_WINDOW`` power steps
+    predicts more remaining steps than the inverse phase would cost."""
+    if len(history) <= _WINDOW:
+        return False
+    rate = (history[-1] / history[0]) ** (1.0 / _WINDOW)
+    if not rate < 1.0:
+        return True
+    remaining = math.log(tol / history[-1]) / math.log(rate)
+    return remaining > max(_POWER_STEPS, n * n / _INVERSE_COST)
+
+
+def _inverse_step(matrix: np.ndarray, x: np.ndarray, shift: float, work: np.ndarray) -> np.ndarray:
+    """``(shift * I - matrix)^-1 x``, normalized, from the diagonally scaled
+    system ``(shift * I - D^-1 matrix D) y = 1`` with ``D = diag(x)``.
+
+    The scaled matrix is non-negative with row sums ``(matrix x)_i / x_i``,
+    all below the shift, so every entry of ``y`` is at least ``1 / shift``
+    however widely the entries of ``x`` spread.  Rounding in the solve then
+    cannot flip the sign of small entries, as it does when solving for
+    ``(shift * I - matrix)^-1 x`` directly.
+    """
+    np.multiply(matrix, x[None, :], out=work)
+    work /= x[:, None]
+    np.negative(work, out=work)
+    work.flat[:: len(x) + 1] += shift
+    try:
+        y = x * np.linalg.solve(work, np.ones(len(x)))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"inverse iteration hit a singular shift: {exc}") from None
+    y /= y.sum()
+    if not (np.all(np.isfinite(y)) and np.all(y > 0)):
+        raise NoConvergence("inverse iteration lost positivity of the Perron vector")
+    return y
 
 
 def _perron(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.ndarray, np.ndarray, float, int]:
-    """Power iteration on a matrix and its transpose, with renormalization.
+    """Perron eigendata of a primitive matrix and its transpose.
 
-    Primitivity gives a spectral gap, hence geometric convergence; the
-    eigenvalue estimate is the Rayleigh quotient of the current pair.
+    Starts with power iteration and renormalization; the eigenvalue estimate
+    is the Rayleigh quotient of the current pair, and the solve stops once
+    the relative residual of both vectors is at most ``tol``.  Power
+    iteration contracts at rate ``|lam_2 / lam_1|``, which tends to 1 when a
+    tilt concentrates on a periodic orbit.  Once the contraction observed
+    over the last ``_WINDOW`` steps predicts more remaining steps than a few
+    dense solves cost, the solver switches to shifted inverse iteration, as
+    in Noda's iteration: each step shifts to just above the Collatz-Wielandt
+    upper bound of the current vectors, so ``(shift * I - M)`` has a
+    positive inverse, and the shift falls towards ``lam`` with the bracket.
+    The inverse phase stops on the same residual test or once the
+    Collatz-Wielandt bracket is narrower than ``tol`` (relative), and
+    raises :class:`NoConvergence` if a vector loses positivity or
+    finiteness, or if ``_STALL`` steps narrow neither residual nor bracket.
+    ``max_iter`` caps the power and inverse steps together.
     """
     n = matrix.shape[0]
     h = np.full(n, 1.0 / n)
     v = np.full(n, 1.0 / n)
+    history: deque[float] = deque(maxlen=_WINDOW + 1)
+    work = None  # allocated on switching to inverse iteration
+    best_res = best_width = math.inf
+    stalls = 0
     for it in range(1, max_iter + 1):
         mh = matrix @ h
         vm = v @ matrix
@@ -145,24 +252,49 @@ def _perron(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.nd
             raise NoConvergence(f"degenerate eigenvalue estimate {lam}")
         res_h = float(np.max(np.abs(mh - lam * h))) / (lam * float(np.max(h)))
         res_v = float(np.max(np.abs(vm - lam * v))) / (lam * float(np.max(v)))
-        if max(res_h, res_v) <= tol:
-            return lam, h, v, max(res_h, res_v), it
-        h = mh / mh.sum()
-        v = vm / vm.sum()
-    raise NoConvergence(f"power iteration did not reach residual {tol} in {max_iter} iterations")
+        res = max(res_h, res_v)
+        if res <= tol:
+            return lam, h, v, res, it
+        if work is None:
+            history.append(res)
+            if not _power_stalls(history, tol, n):
+                h = mh / mh.sum()
+                v = vm / vm.sum()
+                continue
+            if not (np.all(h > 0) and np.all(v > 0)):
+                raise NoConvergence("Perron vector entries underflow the double range")
+            work = np.empty_like(matrix)
+        lo, hi = _collatz_wielandt(h, v, mh, vm)
+        width = (hi - lo) / lo
+        if width <= tol:
+            return lam, h, v, res, it
+        # From a poor vector the shift starts far above lam; the bracket
+        # then narrows step by step while the residual stays near 1.
+        if res < best_res or width < best_width:
+            best_res, best_width, stalls = min(res, best_res), min(width, best_width), 0
+        else:
+            stalls += 1
+            if stalls >= _STALL:
+                raise NoConvergence(f"inverse iteration stalled at residual {best_res:.3g} above {tol}")
+        shift = hi * (1.0 + _SHIFT)
+        h = _inverse_step(matrix, h, shift, work)
+        v = _inverse_step(matrix.T, v, shift, work)
+    raise NoConvergence(f"Perron solve did not reach residual {tol} in {max_iter} steps")
 
 
 def rpf_solve(M: WeightedMatrix, tol: float = 1e-13, max_iter: int = 10 ** 6) -> RPFData:
     """Perron eigenvalue and positive left/right eigenvectors of a transfer matrix."""
-    M.chain.primitivity_power()  # raises NotPrimitive on bad input
+    M.chain.primitivity_power()  # raises NotPrimitive on hand-built chains
     lam, h, v, _, it = _perron(M.matrix, tol, max_iter)
     v = v / v.sum()
     h = h / float(v @ h)
-    res = max(
-        float(np.max(np.abs(M.matrix @ h - lam * h))),
-        float(np.max(np.abs(v @ M.matrix - lam * v))),
-    ) / lam
-    return RPFData(lam, h, v, res, it)
+    mh = M.matrix @ h
+    vm = v @ M.matrix
+    res = max(float(np.max(np.abs(mh - lam * h))), float(np.max(np.abs(vm - lam * v)))) / lam
+    # Each ratio is a sum of at most n non-negative products and a division.
+    lo, hi = _collatz_wielandt(h, v, mh, vm)
+    slack = (len(h) + 2) * float(np.finfo(np.float64).eps)
+    return RPFData(lam, h, v, res, it, lo * (1.0 - slack), hi * (1.0 + slack))
 
 
 def pressure(spec: SubshiftSpec, phi: Potential, block: int | None = None,

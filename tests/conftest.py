@@ -7,6 +7,19 @@ from ldplab import Potential, validate_spec
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
 
+def golden_lambda(t):
+    """Perron root of the golden-mean transfer matrix for ``t * ind1``:
+    the larger root of ``lam**2 = lam + exp(t)``."""
+    return (1 + math.sqrt(1 + 4 * math.exp(t))) / 2
+
+
+def golden_rate(alpha):
+    """Rate of the same family at ``0 < alpha < 1/2``: the tilt solving
+    ``q'(t) = alpha`` has Perron root ``(1 - alpha) / (1 - 2 alpha)``."""
+    lam = (1 - alpha) / (1 - 2 * alpha)
+    return alpha * math.log(lam * lam - lam) - math.log(lam) + math.log(GOLDEN_RATIO)
+
+
 @pytest.fixture(scope="session")
 def fs2():
     """Full shift on two symbols."""

@@ -8,6 +8,8 @@ import pytest
 from ldplab import IncompleteTable, NotPrimitive, ParseError, ValidationError
 from ldplab.cli import load_spec, run, to_json
 
+from conftest import golden_rate
+
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 
@@ -131,6 +133,52 @@ def test_golden_output(name, capsys):
         assert header[key] == golden_header[key]
 
 
+def _golden_fields(body):
+    """(location, value) pairs of a golden body: JSON lines, or CSV rows whose
+    cells are numbers where they parse as one."""
+    fields = []
+
+    def walk(loc, value):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(f"{loc}.{key}", item)
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                walk(f"{loc}[{i}]", item)
+        else:
+            fields.append((loc, value))
+
+    for row, line in enumerate(body.splitlines(), start=1):
+        try:
+            walk(f"line {row}", json.loads(line))
+        except json.JSONDecodeError:
+            for col, cell in enumerate(line.split(","), start=1):
+                try:
+                    cell = float(cell)
+                except ValueError:
+                    pass
+                fields.append((f"line {row} column {col}", cell))
+    return fields
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_golden_within_tolerance(name, capsys):
+    """Every numeric field of a golden agrees with a fresh run to 1e-12
+    relative (1e-15 absolute, for rounding-level values such as the audit
+    drift) and every other field is equal.  A deliberate change to the
+    numerics must pass this before the goldens are regenerated."""
+    code, out, err = run_capture(GOLDEN_COMMANDS[name], capsys)
+    assert code == 0, err
+    got = _golden_fields(out.partition("\n")[2])
+    want = _golden_fields((GOLDEN / name).read_text().partition("\n")[2])
+    assert [loc for loc, _ in got] == [loc for loc, _ in want]
+    for (loc, g), (_, w) in zip(got, want):
+        if isinstance(w, (int, float)) and not isinstance(w, bool):
+            assert not isinstance(g, bool) and g == pytest.approx(w, rel=1e-12, abs=1e-15), loc
+        else:
+            assert g == w, loc
+
+
 def test_byte_identical_repeat_runs(capsys):
     argv = GOLDEN_COMMANDS["mc_fs2.jsonl"]
     _, out1, _ = run_capture(argv, capsys)
@@ -151,6 +199,15 @@ def test_rate_output_keys(capsys):
     assert set(result) == {"alpha", "rate", "tilt"}
     assert result["rate"] == pytest.approx(0.13081203594113694, abs=1e-8)
     assert result["tilt"] == pytest.approx(math.log(3), abs=1e-6)
+
+
+def test_rate_near_ergodic_end(capsys):
+    """Golden mean at alpha = 0.499: the tilt is nearly periodic."""
+    code, out, err = run_capture(["rate", "--spec", "specs/golden.json", "--G", "zero",
+                                  "--phi", "ind1", "--alpha", "0.499"], capsys)
+    assert code == 0, err
+    result = json.loads(out.splitlines()[1])
+    assert result["rate"] == pytest.approx(golden_rate(0.499), rel=1e-9)
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +35,7 @@ from ldplab import (
 )
 from ldplab.ldp import _TiltFamily, _detect_lattice
 
-from conftest import GOLDEN_RATIO, bernoulli_potential
+from conftest import GOLDEN_RATIO, bernoulli_potential, golden_lambda, golden_rate
 
 
 def fs2_q(t):
@@ -71,6 +72,17 @@ def test_q_golden_mean_lower_limit(gm):
     assert all(v > floor for v in values)
     assert values[-1] == pytest.approx(floor, abs=1e-8)
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def test_q_golden_mean_large_tilt(gm):
+    """At t = 40 the tilted chain is nearly 2-periodic (|lam_2 / lam_1| is
+    within 1e-8 of 1), which power iteration alone cannot resolve."""
+    z, ind1 = Potential.zero(gm), Potential.indicator(gm, 1)
+    start = time.perf_counter()
+    q = q_value(gm, z, ind1, 40.0)
+    elapsed = time.perf_counter() - start
+    assert q == pytest.approx(math.log(golden_lambda(40.0)) - math.log(GOLDEN_RATIO), rel=1e-12)
+    assert elapsed < 1.0
 
 
 def test_q_convex_in_t(gm):
@@ -187,6 +199,19 @@ def test_rate_endpoints_are_monotone_limits(fs2):
     assert curve.boundary == (True, True)
     assert curve.values[0] == pytest.approx(math.log(2), abs=1e-6)
     assert curve.values[1] == pytest.approx(math.log(2), abs=1e-6)
+
+
+@pytest.mark.parametrize("alpha, expected", [
+    (0.499, golden_rate(0.499)),
+    (0.5, math.log(GOLDEN_RATIO)),  # the upper end of the ergodic range
+])
+def test_rate_golden_mean_near_upper_end(gm, alpha, expected):
+    z, ind1 = Potential.zero(gm), Potential.indicator(gm, 1)
+    start = time.perf_counter()
+    rate = rate_scalar(gm, z, ind1, alpha)
+    elapsed = time.perf_counter() - start
+    assert rate == pytest.approx(expected, rel=1e-9)
+    assert elapsed < 1.0
 
 
 def test_rate_curve_invariants(gm):

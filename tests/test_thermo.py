@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from ldplab import (
+    LdplabError,
     MarkovMeasure,
     MemoryTooLarge,
+    NoConvergence,
     NotPrimitive,
     Potential,
     birkhoff_sum,
@@ -19,11 +21,12 @@ from ldplab import (
     rpf_solve,
     transfer_matrix,
     unstable_leaf_words,
+    validate_spec,
     variational_gap,
 )
 from ldplab.thermo import RecodedChain, stationary_distribution
 
-from conftest import GOLDEN_RATIO, bernoulli_potential
+from conftest import GOLDEN_RATIO, bernoulli_potential, golden_lambda
 
 
 # ---------------------------------------------------------------------------
@@ -52,10 +55,37 @@ def test_recode_golden_mean_block_three_state_count(gm):
     assert len(chain.states) == len(brute) == 5
 
 
-def test_recoded_chain_is_primitive(gm, fs2):
-    for spec in (gm, fs2):
-        for k in (1, 2, 3):
-            assert recode(spec, k).primitivity_power() >= 1
+def _primitive_specs(m):
+    """Every primitive subshift on ``m`` symbols."""
+    specs = []
+    for bits in itertools.product((0, 1), repeat=m * m):
+        try:
+            specs.append(validate_spec(np.array(bits).reshape(m, m)))
+        except LdplabError:
+            pass
+    return specs
+
+
+def _brute_force_exponent(adjacency):
+    """Smallest q with ``adjacency ** q`` entrywise positive, or None."""
+    n = adjacency.shape[0]
+    A = adjacency.astype(np.int64)
+    power = A.copy()
+    for q in range(1, (n - 1) ** 2 + 2):
+        if (power > 0).all():
+            return q
+        power = np.minimum(power @ A, 1)
+    return None
+
+
+@pytest.mark.parametrize("m, block", [(m, k) for m in (1, 2, 3) for k in (1, 2, 3, 4)])
+def test_recoded_chain_is_primitive(m, block):
+    """The exponent recode() records in closed form is the brute-force one."""
+    specs = _primitive_specs(m)
+    assert specs
+    for spec in specs:
+        chain = recode(spec, block)
+        assert chain.primitivity_power() == _brute_force_exponent(chain.adjacency)
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +159,43 @@ def test_rpf_residual_invariants(gm):
 
 
 def test_rpf_no_convergence_with_tiny_iteration_cap(gm):
-    from ldplab import NoConvergence
     M = transfer_matrix(recode(gm, 1), Potential.zero(gm))
     with pytest.raises(NoConvergence):
         rpf_solve(M, tol=1e-13, max_iter=2)
+
+
+def _golden_tilt(gm, t):
+    return transfer_matrix(recode(gm, 1), Potential(1, {(0,): 0.0, (1,): float(t)}))
+
+
+def test_rpf_bracket_contains_closed_form(fs2, gm):
+    cases = [(transfer_matrix(recode(fs2, 1), Potential.zero(fs2)), 2.0)]
+    cases += [(_golden_tilt(gm, t), golden_lambda(t)) for t in (0, 10, 40)]
+    for M, lam in cases:
+        rpf = rpf_solve(M)
+        assert rpf.lower <= lam <= rpf.upper
+        assert rpf.lower <= rpf.eigenvalue <= rpf.upper
+        assert rpf.upper - rpf.lower <= 1e-12 * lam
+
+
+def test_rpf_nearly_periodic_tilt_converges(gm):
+    """At t = 40, |lam_2 / lam_1| is within 1e-8 of 1: power iteration
+    stalls and the solve finishes by shifted inverse iteration."""
+    M = _golden_tilt(gm, 40)
+    rpf = rpf_solve(M)
+    lam, h, v = rpf.eigenvalue, rpf.right, rpf.left
+    assert lam == pytest.approx(golden_lambda(40), rel=1e-13)
+    assert (h > 0).all() and (v > 0).all()
+    assert np.max(np.abs(M.matrix @ h - lam * h)) <= 1e-13 * lam * np.max(h)
+    assert np.max(np.abs(v @ M.matrix - lam * v)) <= 1e-13 * lam * np.max(v)
+    assert rpf.iterations <= 100
+
+
+def test_rpf_iteration_cap_counts_inverse_steps(gm):
+    M = _golden_tilt(gm, 40)
+    needed = rpf_solve(M).iterations
+    with pytest.raises(NoConvergence):
+        rpf_solve(M, max_iter=needed - 1)
 
 
 def test_rpf_rejects_non_primitive_chain(fs2):
