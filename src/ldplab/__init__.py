@@ -54,6 +54,7 @@ from .thermo import (
     MarkovMeasure,
     RecodedChain,
     RPFData,
+    TiltFamily,
     WeightedMatrix,
     entropy,
     equilibrium_measure,

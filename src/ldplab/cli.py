@@ -22,7 +22,6 @@ from . import __version__
 from .errors import IncompleteTable, LdplabError, ParseError, ValidationError
 from .ldp import (
     Interval,
-    _TiltFamily,
     deviation_mass_exact,
     deviation_mass_mc,
     rate_curve,
@@ -32,7 +31,8 @@ from .ldp import (
 )
 from .leaf import gibbs_ratio_audit, leaf_measure
 from .sft import Potential, SubshiftSpec, Word, axioms_check, validate_spec
-from .thermo import entropy, equilibrium_measure, pressure
+from .thermo import (TiltFamily, entropy, equilibrium_measure, gibbs_measure, pressure,
+                     recoded_transfer_matrix, rpf_solve)
 from .ldp import growth_estimate
 
 
@@ -66,24 +66,14 @@ def load_spec(path: str) -> tuple[SubshiftSpec, dict[str, Potential]]:
     except (KeyError, TypeError) as e:
         raise ValidationError(f"{path}: missing or malformed field: {e}") from None
     spec = validate_spec(matrix, symbols=names)
-
-    dotted = any(len(s) != 1 for s in names)
-    by_name = {s: i for i, s in enumerate(names)}
-    if len(by_name) != len(names):
+    if len(set(names)) != len(names):
         raise ValidationError("duplicate symbol names in alphabet")
-
-    def parse_word(text: str) -> Word:
-        parts = text.split(".") if dotted else list(text)
-        try:
-            return tuple(by_name[p] for p in parts)
-        except KeyError as e:
-            raise ValidationError(f"unknown symbol {e.args[0]!r} in word {text!r}") from None
 
     potentials: dict[str, Potential] = {}
     for name, body in raw.get("potentials", {}).items():
         try:
             memory = int(body["memory"])
-            table = {parse_word(w): float(v) for w, v in body["table"].items()}
+            table = {parse_word(spec, w): float(v) for w, v in body["table"].items()}
         except (KeyError, TypeError, ValueError) as e:
             raise ValidationError(f"potential {name!r}: malformed entry: {e}") from None
         pot = Potential(memory, table)
@@ -100,7 +90,7 @@ def format_word(spec: SubshiftSpec, word: Sequence[int]) -> str:
     return ".".join(names) if any(len(s) != 1 for s in spec.symbols) else "".join(names)
 
 
-def parse_word_arg(spec: SubshiftSpec, text: str) -> Word:
+def parse_word(spec: SubshiftSpec, text: str) -> Word:
     dotted = any(len(s) != 1 for s in spec.symbols)
     parts = text.split(".") if dotted else list(text)
     by_name = {s: i for i, s in enumerate(spec.symbols)}
@@ -150,12 +140,7 @@ def _csv_cell(v: Any) -> str:
     if v is False:
         return "false"
     if isinstance(v, (float, np.floating)):
-        x = float(v)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return "%.17g" % x
+        return _fmt_float(float(v)).strip('"')
     return str(v)
 
 
@@ -247,11 +232,13 @@ def _cmd_entropy(args, out: _Output) -> None:
 def _cmd_gibbs(args, out: _Output) -> None:
     spec, pots = load_spec(args.spec)
     pot = _get_potential(pots, args.potential)
-    mu = equilibrium_measure(spec, pot, block=args.block)
+    M = recoded_transfer_matrix(spec, pot, block=args.block)
+    rpf = rpf_solve(M)
+    mu = gibbs_measure(rpf, M)
     if out.fmt == "json":
         out.add({
             "states": [format_word(spec, w) for w in mu.chain.states],
-            "pressure": pressure(spec, pot, block=args.block),
+            "pressure": math.log(rpf.eigenvalue),
             "transition": [list(row) for row in mu.transition],
             "stationary": list(mu.stationary),
         })
@@ -268,7 +255,7 @@ def _cmd_gibbs(args, out: _Output) -> None:
 
 def _cmd_qcurve(args, out: _Output) -> None:
     spec, pots = load_spec(args.spec)
-    fam = _TiltFamily(spec, _get_potential(pots, args.G), _get_potential(pots, args.phi))
+    fam = TiltFamily.of(spec, _get_potential(pots, args.G), _get_potential(pots, args.phi))
     for t in _parse_grid(args.t):
         out.add({"t": t, "q": fam.q(t), "q_prime": fam.q_prime(t)})
 
@@ -294,7 +281,7 @@ def _cmd_ratecurve(args, out: _Output) -> None:
 
 def _cmd_leaf_audit(args, out: _Output) -> None:
     spec, pots = load_spec(args.spec)
-    mu = leaf_measure(spec, _get_potential(pots, args.G), parse_word_arg(spec, args.past),
+    mu = leaf_measure(spec, _get_potential(pots, args.G), parse_word(spec, args.past),
                       block=args.block)
     kwargs = {} if args.effective_budget is None else {"budget": args.effective_budget}
     rep = gibbs_ratio_audit(mu, n_max=args.n_max, r=args.r, **kwargs)
@@ -315,19 +302,16 @@ def _cmd_leaf_audit(args, out: _Output) -> None:
 
 def _cmd_growth(args, out: _Output) -> None:
     spec, pots = load_spec(args.spec)
-    G = _get_potential(pots, args.G)
-    phi = _get_potential(pots, args.phi)
-    block = max(G.memory, phi.memory, args.block or 1)
-    mu = leaf_measure(spec, G, parse_word_arg(spec, args.past), block=block)
+    _, phi, mu = _leaf_for(args, spec, pots, block=args.block or 1)
     for n in _lengths(args):
         out.add({"n": n, "estimate": growth_estimate(mu, phi, n)})
 
 
-def _leaf_for(args, spec, pots):
+def _leaf_for(args, spec, pots, block: int = 1):
     G = _get_potential(pots, args.G)
     phi = _get_potential(pots, args.phi)
-    block = max(G.memory, phi.memory)
-    return G, phi, leaf_measure(spec, G, parse_word_arg(spec, args.past), block=block)
+    block = max(G.memory, phi.memory, block)
+    return G, phi, leaf_measure(spec, G, parse_word(spec, args.past), block=block)
 
 
 def _dev_row(p: DeviationPoint) -> dict[str, Any]:
@@ -392,25 +376,19 @@ def _read_series(path: str) -> list[DeviationPoint]:
                 row = json.loads(ln)
             except json.JSONDecodeError as e:
                 raise ParseError(f"{path}: bad JSON line: {e.msg}") from None
-            if "n" in row and "mass" in row:
-                m = float(row["mass"])
-                points.append(DeviationPoint(int(row["n"]), m, _safe_log(m), str(row.get("method", ""))))
         else:
             cells = ln.split(",")
             if header is None:
                 header = cells
                 continue
             row = dict(zip(header, cells))
-            if "n" in row and "mass" in row:
-                m = float(row["mass"])
-                points.append(DeviationPoint(int(row["n"]), m, _safe_log(m), str(row.get("method", ""))))
+        if "n" in row and "mass" in row:
+            m = float(row["mass"])
+            log_m = math.log(m) if m > 0 else -math.inf
+            points.append(DeviationPoint(int(row["n"]), m, log_m, str(row.get("method", ""))))
     if not points:
         raise ParseError(f"{path}: no (n, mass) rows found")
     return points
-
-
-def _safe_log(m: float) -> float:
-    return math.log(m) if m > 0 else -math.inf
 
 
 def _cmd_axioms(args, out: _Output) -> None:
@@ -444,8 +422,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to this path instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=0, help="unsigned 64-bit stream seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="upper bound on worker threads (advisory)")
         p.add_argument("--budget", type=float, default=None,
                        help="enumeration budget override (also: LDPLAB_BUDGET)")
 
@@ -507,30 +483,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block", type=int, default=None)
     p.set_defaults(func=_cmd_growth)
 
-    p = sub.add_parser("deviation-exact", help="exact deviation-set masses")
-    common(p)
-    p.add_argument("--G", required=True)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--past", required=True)
-    p.add_argument("--interval", required=True, help="lo:hi (closed by default)")
-    p.add_argument("--open-lo", action="store_true")
-    p.add_argument("--open-hi", action="store_true")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--n-range", default=None)
+    def deviation(name: str, help_text: str, func) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        p.add_argument("--G", required=True)
+        p.add_argument("--phi", required=True)
+        p.add_argument("--past", required=True)
+        p.add_argument("--interval", required=True, help="lo:hi (closed by default)")
+        p.add_argument("--open-lo", action="store_true")
+        p.add_argument("--open-hi", action="store_true")
+        p.add_argument("--n", type=int, default=None)
+        p.add_argument("--n-range", default=None)
+        p.set_defaults(func=func)
+        return p
+
+    p = deviation("deviation-exact", "exact deviation-set masses", _cmd_deviation_exact)
     p.add_argument("--mode", choices=("auto", "enumerate", "dp"), default="auto")
     p.add_argument("--bin-width", type=float, default=1e-3)
-    p.set_defaults(func=_cmd_deviation_exact)
 
-    p = sub.add_parser("deviation-mc", help="Monte Carlo deviation-set masses")
-    common(p)
-    p.add_argument("--G", required=True)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--past", required=True)
-    p.add_argument("--interval", required=True)
-    p.add_argument("--open-lo", action="store_true")
-    p.add_argument("--open-hi", action="store_true")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--n-range", default=None)
+    p = deviation("deviation-mc", "Monte Carlo deviation-set masses", _cmd_deviation_mc)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--tilt", default=None, help="tilt value, or 'auto'")
     p.set_defaults(func=_cmd_deviation_mc)
@@ -579,7 +550,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         "spec_sha256": _spec_hash(getattr(args, "spec", None)),
         "seed": args.seed,
         "budget": budget,
-        "threads": args.threads,
         "version": __version__,
     }
     out = _Output(args.format, header)

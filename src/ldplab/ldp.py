@@ -24,12 +24,12 @@ from .errors import (
     EmptyInterval,
     IncompatibleSupport,
 )
-from .leaf import CHUNK_ROWS, LeafMeasure, _sampling_tables, _uniform_block
-from .sft import MAX_POTENTIAL_VALUE, Potential, SubshiftSpec
+from .leaf import LeafMeasure, expand_word_tree, leaf_word_counts, markov_walks
+from .sft import Potential, SubshiftSpec
 from .thermo import (
     MarkovMeasure,
-    _perron,
-    _polish_stationary,
+    RecodedChain,
+    TiltFamily,
     entropy,
     integrate,
     phi_vector,
@@ -45,93 +45,15 @@ DEFAULT_BUDGET = 10 ** 7
 # Tilted pressure family
 
 
-class _TiltFamily:
-    """Pressure, tilted equilibrium measures and mean solving for base + t*obs."""
-
-    def __init__(self, spec: SubshiftSpec, base: Potential, obs: Potential, tol: float = 1e-13):
-        self.spec = spec
-        self.tol = tol
-        self.chain = recode(spec, max(base.memory, obs.memory))
-        self.gvec = phi_vector(self.chain, base)
-        self.pvec = phi_vector(self.chain, obs)
-        self.adjacency = self.chain.adjacency.astype(np.float64)
-        self.base_log = self._log_eig(0.0)
-        pmax = float(np.max(np.abs(self.pvec)))
-        gmax = float(np.max(np.abs(self.gvec)))
-        if pmax > 0:
-            self.t_limit = min(200.0, 0.999 * (MAX_POTENTIAL_VALUE - gmax) / pmax)
-        else:
-            self.t_limit = 200.0
-        self._range: tuple[float, float] | None = None
-
-    def _weighted(self, t: float) -> np.ndarray:
-        return self.adjacency * np.exp(self.gvec + t * self.pvec)[:, None]
-
-    def _log_eig(self, t: float) -> float:
-        lam, _, _, _, _ = _perron(self._weighted(t), self.tol, 10 ** 6)
-        return math.log(lam)
-
-    def q(self, t: float) -> float:
-        return self._log_eig(t) - self.base_log
-
-    def measure(self, t: float) -> MarkovMeasure:
-        W = self._weighted(t)
-        lam, h, v, _, _ = _perron(W, self.tol, 10 ** 6)
-        P = W * h[None, :] / (lam * h[:, None])
-        P = P / P.sum(axis=1, keepdims=True)
-        return MarkovMeasure(self.chain, P, _polish_stationary(v * h, P))
-
-    def q_prime(self, t: float) -> float:
-        """Exact pressure derivative: the observable mean under the tilt."""
-        return float(self.measure(t).stationary @ self.pvec)
-
-    @property
-    def range(self) -> tuple[float, float]:
-        if self._range is None:
-            adj = self.chain.adjacency.astype(bool)
-            self._range = (_min_mean_cycle(adj, self.pvec), -_min_mean_cycle(adj, -self.pvec))
-        return self._range
-
-    def solve_mean(self, alpha: float, tol: float = 1e-10) -> tuple[float, bool]:
-        """Bisection for ``q'(t) == alpha``; second value marks a capped bracket.
-
-        Near the ends of the ergodic range the solution runs off to
-        ``+-infinity``; the bracket is then capped and the capped endpoint
-        returned, which realizes the monotone limit of the rate values.
-        """
-        cap = self.t_limit
-        lo, hi = -1.0, 1.0
-        while self.q_prime(hi) < alpha and hi < cap:
-            hi = min(2.0 * hi, cap)
-        while self.q_prime(lo) > alpha and lo > -cap:
-            lo = max(2.0 * lo, -cap)
-        if self.q_prime(hi) < alpha:
-            return hi, True
-        if self.q_prime(lo) > alpha:
-            return lo, True
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            qm = self.q_prime(mid)
-            if abs(qm - alpha) <= tol:
-                return mid, False
-            if qm < alpha:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
-                break
-        return 0.5 * (lo + hi), False
-
-
 def q_value(spec: SubshiftSpec, base: Potential, obs: Potential, t: float) -> float:
     """Scaled cumulant ``pressure(base + t*obs) - pressure(base)``; convex, q(0)=0."""
-    return _TiltFamily(spec, base, obs).q(t)
+    return TiltFamily.of(spec, base, obs).q(t)
 
 
 def q_derivative(spec: SubshiftSpec, base: Potential, obs: Potential, t: float) -> float:
     """Derivative of the scaled cumulant: the mean of ``obs`` under the tilted
     equilibrium measure (no finite differences)."""
-    return _TiltFamily(spec, base, obs).q_prime(t)
+    return TiltFamily.of(spec, base, obs).q_prime(t)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +85,11 @@ def _min_mean_cycle(adj: np.ndarray, weights: np.ndarray) -> float:
     return float(best)
 
 
+def _cycle_range(chain: RecodedChain, w: np.ndarray) -> tuple[float, float]:
+    adj = chain.adjacency.astype(bool)
+    return _min_mean_cycle(adj, w), float(-_min_mean_cycle(adj, -w))
+
+
 def ergodic_range(spec: SubshiftSpec, obs: Potential) -> tuple[float, float]:
     """Smallest and largest possible ergodic averages of the observable.
 
@@ -170,9 +97,7 @@ def ergodic_range(spec: SubshiftSpec, obs: Potential) -> tuple[float, float]:
     periodic orbits, i.e. on min/max mean cycles of the recoded state graph.
     """
     chain = recode(spec, obs.memory)
-    w = phi_vector(chain, obs)
-    adj = chain.adjacency.astype(bool)
-    return _min_mean_cycle(adj, w), float(-_min_mean_cycle(adj, -w))
+    return _cycle_range(chain, phi_vector(chain, obs))
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +123,8 @@ class RateCurve:
     alpha_range: tuple[float, float]
 
 
-def _rate_point(fam: _TiltFamily, alpha: float) -> RatePoint:
-    amin, amax = fam.range
+def _rate_point(fam: TiltFamily, alpha_range: tuple[float, float], alpha: float) -> RatePoint:
+    amin, amax = alpha_range
     if alpha < amin or alpha > amax:
         return RatePoint(alpha, math.inf, None, True)
     if amax - amin <= 1e-13:
@@ -216,19 +141,20 @@ def rate_scalar(spec: SubshiftSpec, base: Potential, obs: Potential, alpha: floa
     solving ``q'(t) = alpha``; ``+inf`` outside the closed ergodic range,
     and the monotone limit (evaluated at the capped bracket) at its ends.
     """
-    return _rate_point(_TiltFamily(spec, base, obs), alpha).value
+    return rate_curve(spec, base, obs, [alpha]).values[0]
 
 
 def rate_curve(spec: SubshiftSpec, base: Potential, obs: Potential,
                alphas: Sequence[float]) -> RateCurve:
-    fam = _TiltFamily(spec, base, obs)
-    pts = [_rate_point(fam, float(a)) for a in alphas]
+    fam = TiltFamily.of(spec, base, obs)
+    alpha_range = _cycle_range(fam.chain, fam.pvec)
+    pts = [_rate_point(fam, alpha_range, float(a)) for a in alphas]
     return RateCurve(
         alphas=tuple(p.alpha for p in pts),
         values=tuple(p.value for p in pts),
         tilts=tuple(p.tilt for p in pts),
         boundary=tuple(p.boundary for p in pts),
-        alpha_range=fam.range,
+        alpha_range=alpha_range,
     )
 
 
@@ -264,39 +190,6 @@ class ContractionReport:
     passed: bool
 
 
-def _tilt_to_mean(fam: _TiltFamily, base_transition: np.ndarray, alpha: float,
-                  tol: float = 1e-9) -> tuple[MarkovMeasure, float]:
-    """Exponentially tilt a base chain until the observable mean hits alpha."""
-    pvec = fam.pvec
-    pmax = float(np.max(np.abs(pvec)))
-    cap = min(200.0, 0.98 * MAX_POTENTIAL_VALUE / max(pmax, 1e-9))
-
-    def measure_at(s: float) -> tuple[MarkovMeasure, float]:
-        W = base_transition * np.exp(s * pvec)[:, None]
-        lam, h, v, _, _ = _perron(W, 1e-12, 10 ** 6)
-        P = W * h[None, :] / (lam * h[:, None])
-        P = P / P.sum(axis=1, keepdims=True)
-        pi = _polish_stationary(v * h, P)
-        return MarkovMeasure(fam.chain, P, pi), float(pi @ pvec)
-
-    lo, hi = -1.0, 1.0
-    while measure_at(hi)[1] < alpha and hi < cap:
-        hi = min(2.0 * hi, cap)
-    while measure_at(lo)[1] > alpha and lo > -cap:
-        lo = max(2.0 * lo, -cap)
-    best, best_mean = measure_at(0.0)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        best, best_mean = measure_at(mid)
-        if abs(best_mean - alpha) <= tol:
-            break
-        if best_mean < alpha:
-            lo = mid
-        else:
-            hi = mid
-    return best, abs(best_mean - alpha)
-
-
 def contraction_check(spec: SubshiftSpec, base: Potential, obs: Potential, alpha: float,
                       samples: int = 100, seed: int = 0) -> ContractionReport:
     """Check that the scalar rate is the infimum of measure rates at mean alpha.
@@ -305,8 +198,8 @@ def contraction_check(spec: SubshiftSpec, base: Potential, obs: Potential, alpha
     constraint slice; each must have measure rate at least the scalar rate,
     with equality (within 1e-6) at the tilted equilibrium measure itself.
     """
-    fam = _TiltFamily(spec, base, obs)
-    amin, amax = fam.range
+    fam = TiltFamily.of(spec, base, obs)
+    amin, amax = _cycle_range(fam.chain, fam.pvec)
     if not amin < alpha < amax:
         raise ValueError(f"alpha {alpha} outside the open ergodic range ({amin}, {amax})")
     t, _ = fam.solve_mean(alpha)
@@ -315,13 +208,16 @@ def contraction_check(spec: SubshiftSpec, base: Potential, obs: Potential, alpha
     equality_gap = abs(_rate_measure_given(fam.base_log, base, tilted) - scalar)
 
     rng = np.random.default_rng(seed)
+    zero = np.zeros(fam.chain.num_states)
     min_slack = math.inf
     max_resid = 0.0
     for _ in range(samples):
-        base_chain = random_markov_measure(fam.chain, rng)
-        nu, resid = _tilt_to_mean(fam, base_chain.transition, alpha)
+        # Exponential tilts of a random chain, solved onto mean == alpha.
+        random_chain = random_markov_measure(fam.chain, rng).transition
+        slice_fam = TiltFamily(fam.chain, random_chain, zero, fam.pvec, tol=1e-12)
+        nu = slice_fam.measure(slice_fam.solve_mean(alpha, tol=1e-9)[0])
         min_slack = min(min_slack, _rate_measure_given(fam.base_log, base, nu) - scalar)
-        max_resid = max(max_resid, resid)
+        max_resid = max(max_resid, abs(float(nu.stationary @ fam.pvec) - alpha))
 
     return ContractionReport(
         alpha=alpha,
@@ -386,9 +282,7 @@ class Interval:
         return self.lo > self.hi or (self.lo == self.hi and not (self.closed_lo and self.closed_hi))
 
     def contains(self, x: float) -> bool:
-        lo_ok = x >= self.lo if self.closed_lo else x > self.lo
-        hi_ok = x <= self.hi if self.closed_hi else x < self.hi
-        return bool(lo_ok and hi_ok)
+        return bool(self.contains_array(x))
 
     def contains_array(self, x: np.ndarray) -> np.ndarray:
         lo_ok = x >= self.lo if self.closed_lo else x > self.lo
@@ -432,21 +326,10 @@ def _log_or_neg_inf(mass: float) -> float:
     return math.log(mass) if mass > 0 else -math.inf
 
 
-def _interval_bounds_ok(interval: Interval, lo_val: float, hi_val: float) -> tuple[bool, bool]:
-    lo_ok = lo_val >= interval.lo if interval.closed_lo else lo_val > interval.lo
-    hi_ok = hi_val <= interval.hi if interval.closed_hi else hi_val < interval.hi
-    return lo_ok, hi_ok
-
-
-def _interval_covers(interval: Interval, lo_val: float, hi_val: float) -> bool:
-    """Whole range [lo_val, hi_val] certified inside the interval."""
-    lo_ok, hi_ok = _interval_bounds_ok(interval, lo_val, hi_val)
-    return lo_ok and hi_ok
-
-
 def _interval_meets(interval: Interval, lo_val: float, hi_val: float) -> bool:
     """Range [lo_val, hi_val] possibly intersects the interval."""
-    lo_ok, hi_ok = _interval_bounds_ok(interval, hi_val, lo_val)
+    lo_ok = hi_val >= interval.lo if interval.closed_lo else hi_val > interval.lo
+    hi_ok = lo_val <= interval.hi if interval.closed_hi else lo_val < interval.hi
     return lo_ok and hi_ok
 
 
@@ -536,9 +419,10 @@ def _dp_point(mu: LeafMeasure, pvec: np.ndarray, interval: Interval, n: int,
                 low += float(m)
                 high += float(m)
             continue
-        if _interval_meets(interval, float(avg - avg_slack), float(avg + avg_slack)):
+        lo_val, hi_val = float(avg - avg_slack), float(avg + avg_slack)
+        if _interval_meets(interval, lo_val, hi_val):
             high += float(m)
-            if _interval_covers(interval, float(avg - avg_slack), float(avg + avg_slack)):
+            if interval.contains(lo_val) and interval.contains(hi_val):
                 low += float(m)
     mass = 0.5 * (low + high)
     return DeviationPoint(
@@ -552,15 +436,7 @@ def _enum_point(mu: LeafMeasure, pvec: np.ndarray, interval: Interval, n: int,
                 budget: float) -> DeviationPoint:
     chain = mu.chain
     K = chain.block
-    succ = chain.successor_lists()
-    out_deg = np.array([len(s) for s in succ])
-    max_deg = int(out_deg.max())
-    succ_pad = np.zeros((chain.num_states, max_deg), dtype=np.int64)
-    succ_mask = np.zeros((chain.num_states, max_deg), dtype=bool)
-    for i, lst in enumerate(succ):
-        succ_pad[i, : len(lst)] = lst
-        succ_mask[i, : len(lst)] = True
-    logP = mu.log_transition
+    _, out_deg = chain.successor_table
 
     state = np.array([mu.start_index], dtype=np.int64)
     logmass = np.zeros(1)
@@ -568,10 +444,7 @@ def _enum_point(mu: LeafMeasure, pvec: np.ndarray, interval: Interval, n: int,
     for j in range(1, n + K):
         if len(state) * 2 > budget and float(out_deg[state].sum()) > budget:
             raise BudgetExceeded(f"enumeration exceeds budget {budget:.3g} at depth {j}")
-        par = np.repeat(np.arange(len(state)), out_deg[state])
-        mask = succ_mask[state].ravel()
-        new_state = succ_pad[state].ravel()[mask]
-        logmass = logmass[par] + logP[state[par], new_state]
+        par, new_state, logmass = expand_word_tree(chain, mu.log_transition, state, logmass)
         birk = birk[par] + (pvec[new_state] if j >= K else 0.0)
         state = new_state
     inside = interval.contains_array(birk / n)
@@ -607,32 +480,19 @@ def deviation_mass_exact(mu: LeafMeasure, obs: Potential, interval: Interval, n:
     budget = DEFAULT_BUDGET if budget is None else float(budget)
     pvec = phi_vector(mu.chain, obs)
 
+    if mode not in ("auto", "dp", "enumerate"):
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
         lattice = _detect_lattice(pvec)
         if lattice is not None and mu.chain.num_states * (n * max(lattice[2]) + 1) <= budget:
             mode = "dp"
-        else:
-            count = _enum_count(mu, n)
-            mode = "enumerate" if count <= budget else "dp"
-    if mode == "dp":
-        return _dp_point(mu, pvec, interval, n, budget, bin_width)
-    if mode == "enumerate":
-        count = _enum_count(mu, n)
-        if count > budget:
+    if mode != "dp":
+        count = leaf_word_counts(mu.chain, mu.start_index, n + mu.chain.block - 1)[-1]
+        if count <= budget:
+            return _enum_point(mu, pvec, interval, n, budget)
+        if mode == "enumerate":
             raise BudgetExceeded(f"enumeration needs about {count:.3g} words, budget {budget:.3g}")
-        return _enum_point(mu, pvec, interval, n, budget)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _enum_count(mu: LeafMeasure, n: int) -> float:
-    u = np.zeros(mu.chain.num_states)
-    u[mu.start_index] = 1.0
-    A = mu.chain.adjacency.astype(np.float64)
-    for _ in range(n + mu.chain.block - 1):
-        u = u @ A
-        if not np.isfinite(u.sum()):
-            return math.inf
-    return float(u.sum())
+    return _dp_point(mu, pvec, interval, n, budget, bin_width)
 
 
 def deviation_series(mu: LeafMeasure, obs: Potential, interval: Interval,
@@ -645,12 +505,12 @@ def recommended_tilt(spec: SubshiftSpec, base: Potential, obs: Potential,
                      interval: Interval) -> float:
     """Tilt whose equilibrium mean sits at the interval endpoint nearest the
     untilted mean (zero when the interval already contains the mean)."""
-    fam = _TiltFamily(spec, base, obs)
+    fam = TiltFamily.of(spec, base, obs)
     mean = fam.q_prime(0.0)
     if interval.contains(mean):
         return 0.0
     target = interval.lo if mean < interval.lo else interval.hi
-    amin, amax = fam.range
+    amin, amax = _cycle_range(fam.chain, fam.pvec)
     target = min(max(target, amin), amax)
     t, _ = fam.solve_mean(target)
     return t
@@ -678,38 +538,30 @@ def deviation_mass_mc(mu: LeafMeasure, obs: Potential, interval: Interval, n: in
         P_sim = mu.transition
         log_ratio = None
     else:
-        gvec = phi_vector(chain, mu.potential)
-        W = chain.adjacency.astype(np.float64) * np.exp(gvec + tilt * pvec)[:, None]
-        lam, h, v, _, _ = _perron(W, 1e-13, 10 ** 6)
-        P_sim = W * h[None, :] / (lam * h[:, None])
-        P_sim = P_sim / P_sim.sum(axis=1, keepdims=True)
+        fam = TiltFamily(chain, chain.adjacency.astype(np.float64),
+                         phi_vector(chain, mu.potential), pvec)
+        P_sim = fam.measure(tilt).transition
         with np.errstate(divide="ignore", invalid="ignore"):
             log_ratio = np.where(chain.adjacency > 0,
                                  np.log(np.where(P_sim > 0, mu.transition / P_sim, 1.0)), 0.0)
 
-    succ_pad, cum_pad, _ = _sampling_tables(chain, P_sim)
     steps = n + K - 1
     total = 0.0
     total_sq = 0.0
-    for lo_row in range(0, samples, CHUNK_ROWS):
-        rows = min(CHUNK_ROWS, samples - lo_row)
-        U = _uniform_block(seed, lo_row // CHUNK_ROWS, rows, steps)
-        cur = np.full(rows, mu.start_index, dtype=np.int64)
-        birk = np.zeros(rows)
-        loglr = np.zeros(rows)
-        for j in range(1, steps + 1):
-            idx = (U[:, j - 1, None] >= cum_pad[cur]).sum(axis=1)
-            nxt = succ_pad[cur, idx]
-            if log_ratio is not None:
-                loglr += log_ratio[cur, nxt]
-            if j >= K:
-                birk += pvec[nxt]
-            cur = nxt
-        w = interval.contains_array(birk / n).astype(np.float64)
+    for _, j, cur, nxt in markov_walks(chain, P_sim, mu.start_index, steps, samples, seed):
+        if j == 1:  # first step of a counter block
+            birk = np.zeros(len(cur))
+            loglr = np.zeros(len(cur))
         if log_ratio is not None:
-            w = w * np.exp(loglr)
-        total += float(w.sum())
-        total_sq += float((w * w).sum())
+            loglr += log_ratio[cur, nxt]
+        if j >= K:
+            birk += pvec[nxt]
+        if j == steps:
+            w = interval.contains_array(birk / n).astype(np.float64)
+            if log_ratio is not None:
+                w = w * np.exp(loglr)
+            total += float(w.sum())
+            total_sq += float((w * w).sum())
     est = total / samples
     if samples > 1:
         var = max(total_sq - samples * est * est, 0.0) / (samples - 1)

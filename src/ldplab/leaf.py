@@ -149,18 +149,30 @@ class GibbsRatioReport:
     drift: float
 
 
-def _path_counts(chain: RecodedChain, start_index: int, depth: int) -> float:
-    """Total number of leaf words over all lengths ``1 .. depth + 1`` (float)."""
+def leaf_word_counts(chain: RecodedChain, start_index: int, depth: int) -> list[float]:
+    """Numbers of leaf words from ``start_index`` of lengths ``1 .. depth + 1``,
+    as floats; the list stops early at the first count that overflows."""
     u = np.zeros(chain.num_states)
     u[start_index] = 1.0
     A = chain.adjacency.astype(np.float64)
-    total = 1.0
+    counts = [1.0]
     for _ in range(depth):
         u = u @ A
-        total += float(u.sum())
-        if not math.isfinite(total):
-            return math.inf
-    return total
+        counts.append(float(u.sum()))
+        if not math.isfinite(counts[-1]):
+            break
+    return counts
+
+
+def expand_word_tree(chain: RecodedChain, log_transition: np.ndarray, state: np.ndarray,
+                     logmass: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One level of the leaf word tree, children grouped by parent in
+    successor order: returns each child's parent index, state and log mass."""
+    succ, degree = chain.successor_table
+    deg = degree[state]
+    par = np.repeat(np.arange(len(state)), deg)
+    new_state = succ[state][np.arange(succ.shape[1]) < deg[:, None]]
+    return par, new_state, logmass[par] + log_transition[state[par], new_state]
 
 
 def gibbs_ratio_audit(mu: LeafMeasure, n_max: int, r: int,
@@ -181,7 +193,7 @@ def gibbs_ratio_audit(mu: LeafMeasure, n_max: int, r: int,
     k = chain.block
     T = max(r, k - 1)
     depth = n_max + T - 1  # final level index; level d holds words of length d + 1
-    total = _path_counts(chain, mu.start_index, depth)
+    total = sum(leaf_word_counts(chain, mu.start_index, depth))
     if total > budget:
         raise EnumerationTooLarge(f"audit would visit about {total:.3g} words, budget {budget:.3g}")
 
@@ -192,14 +204,6 @@ def gibbs_ratio_audit(mu: LeafMeasure, n_max: int, r: int,
     lag_birk = T - (k - 1)
     hist_len = max(lag_ball, lag_birk) + 1
 
-    succ = chain.successor_lists()
-    out_deg = np.array([len(s) for s in succ])
-    max_deg = int(out_deg.max())
-    succ_pad = np.zeros((chain.num_states, max_deg), dtype=np.int64)
-    succ_mask = np.zeros((chain.num_states, max_deg), dtype=bool)
-    for i, lst in enumerate(succ):
-        succ_pad[i, : len(lst)] = lst
-        succ_mask[i, : len(lst)] = True
     last_sym = chain.last_symbols()
 
     state = np.array([mu.start_index], dtype=np.int64)
@@ -241,10 +245,7 @@ def gibbs_ratio_audit(mu: LeafMeasure, n_max: int, r: int,
 
         if d == depth:
             break
-        par = np.repeat(np.arange(len(state)), out_deg[state])
-        mask = succ_mask[state].ravel()
-        new_state = succ_pad[state].ravel()[mask]
-        logmass = logmass[par] + logP[state[par], new_state]
+        par, new_state, logmass = expand_word_tree(chain, logP, state, logmass)
         gsum = gsum[par] + gvec[new_state]
         g_base = g_base[par]
         hist_mass = [a[par] for a in hist_mass]
@@ -306,23 +307,44 @@ def _uniform_block(seed: int, chunk_index: int, rows: int, steps: int) -> np.nda
     return np.random.Generator(bg).random((rows, steps))
 
 
-def _sampling_tables(chain: RecodedChain, transition: np.ndarray):
-    """Per-state successor indices and cumulative probabilities for sampling.
+def _sampling_tables(chain: RecodedChain, transition: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Padded successors and cumulative probabilities for sampling.
 
-    ``cum_pad[s, i]`` is the cumulative probability of the first ``i + 1``
+    ``cum[s, i]`` is the cumulative probability of the first ``i + 1``
     successors for ``i < deg - 1`` and ``+inf`` beyond, so the successor
     index is the count of thresholds below the uniform draw.
     """
-    succ = chain.successor_lists()
-    max_deg = max(len(s) for s in succ)
-    succ_pad = np.zeros((chain.num_states, max_deg), dtype=np.int64)
-    cum_pad = np.full((chain.num_states, max(max_deg - 1, 1)), np.inf)
-    for i, lst in enumerate(succ):
-        succ_pad[i, : len(lst)] = lst
-        probs = transition[i, lst]
-        cum = np.cumsum(probs)[:-1]
-        cum_pad[i, : len(cum)] = cum
-    return succ_pad, cum_pad, chain.last_symbols()
+    succ, degree = chain.successor_table
+    cum = np.full((chain.num_states, max(succ.shape[1] - 1, 1)), np.inf)
+    for s, d in enumerate(degree):
+        cum[s, : d - 1] = np.cumsum(transition[s, succ[s, :d]])[:-1]
+    return succ, cum
+
+
+def markov_walks(chain: RecodedChain, transition: np.ndarray, start_index: int, steps: int,
+                 count: int, seed: int = 0, first: int = 0):
+    """Walks of ``steps`` transitions from ``start_index``, one per sample
+    index ``first .. first + count - 1``.
+
+    Index ``i`` reads row ``i % CHUNK_ROWS`` of counter block ``i // CHUNK_ROWS``,
+    so its walk depends only on (seed, i, steps).  Per counter block, one
+    ``(rows, steps)`` array of uniforms is drawn and ``(rows, j, cur, nxt)``
+    yielded for ``j = 1 .. steps``: ``rows`` slices the block's walks (counted
+    from ``first``), ``cur``/``nxt`` are their states before/after step ``j``.
+    """
+    succ, cum = _sampling_tables(chain, transition)
+    lo, end = first, first + count
+    while lo < end:
+        block, row = divmod(lo, CHUNK_ROWS)
+        hi = min(end, (block + 1) * CHUNK_ROWS)
+        U = _uniform_block(seed, block, hi - block * CHUNK_ROWS, steps)[row:]
+        rows = slice(lo - first, hi - first)
+        cur = np.full(hi - lo, start_index, dtype=np.int64)
+        for j in range(1, steps + 1):
+            nxt = succ[cur, (U[:, j - 1, None] >= cum[cur]).sum(axis=1)]
+            yield rows, j, cur, nxt
+            cur = nxt
+        lo = hi
 
 
 def sample_paths(mu: LeafMeasure, n: int, count: int, seed: int = 0) -> np.ndarray:
@@ -335,17 +357,9 @@ def sample_paths(mu: LeafMeasure, n: int, count: int, seed: int = 0) -> np.ndarr
         raise ValueError("n must be >= 1")
     out = np.empty((count, n), dtype=np.int16)
     out[:, 0] = mu.start_symbol
-    if n == 1 or count == 0:
-        return out
-    succ_pad, cum_pad, last_sym = _sampling_tables(mu.chain, mu.transition)
-    for lo in range(0, count, CHUNK_ROWS):
-        rows = min(CHUNK_ROWS, count - lo)
-        U = _uniform_block(seed, lo // CHUNK_ROWS, rows, n - 1)
-        cur = np.full(rows, mu.start_index, dtype=np.int64)
-        for j in range(1, n):
-            idx = (U[:, j - 1, None] >= cum_pad[cur]).sum(axis=1)
-            cur = succ_pad[cur, idx]
-            out[lo:lo + rows, j] = last_sym[cur]
+    last_sym = mu.chain.last_symbols()
+    for rows, j, _, nxt in markov_walks(mu.chain, mu.transition, mu.start_index, n - 1, count, seed):
+        out[rows, j] = last_sym[nxt]
     return out
 
 
@@ -357,15 +371,6 @@ def sample_path(mu: LeafMeasure, n: int, seed: int = 0, index: int = 0) -> Word:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return (mu.start_symbol,)
-    row = index % CHUNK_ROWS
-    U = _uniform_block(seed, index // CHUNK_ROWS, row + 1, n - 1)[row]
-    succ_pad, cum_pad, last_sym = _sampling_tables(mu.chain, mu.transition)
-    cur = mu.start_index
-    word = [mu.start_symbol]
-    for u in U:
-        idx = int((u >= cum_pad[cur]).sum())
-        cur = int(succ_pad[cur, idx])
-        word.append(int(last_sym[cur]))
-    return tuple(word)
+    last_sym = mu.chain.last_symbols()
+    walk = markov_walks(mu.chain, mu.transition, mu.start_index, n - 1, 1, seed, first=index)
+    return (mu.start_symbol,) + tuple(int(last_sym[nxt[0]]) for _, _, _, nxt in walk)

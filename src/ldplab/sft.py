@@ -97,16 +97,9 @@ def validate_spec(matrix: Iterable[Iterable[int]], symbols: Sequence[str] | None
         if not A[:, a].any():
             raise EmptyRowOrColumn(f"symbol {a} has no allowed predecessor")
 
-    bound = (m - 1) ** 2 + 1
-    power = A.astype(bool)
-    q = 0
-    for k in range(1, bound + 1):
-        if power.all():
-            q = k
-            break
-        power = (power.astype(np.uint8) @ A) > 0
-    else:
-        raise NotPrimitive(f"no power of the transition matrix up to {bound} is entrywise positive")
+    q = primitivity_exponent(A)
+    if q is None:
+        raise NotPrimitive(f"no power of the transition matrix up to {(m - 1) ** 2 + 1} is entrywise positive")
 
     if symbols is None:
         symbols = tuple(str(a) for a in range(m))
@@ -122,6 +115,18 @@ def validate_spec(matrix: Iterable[Iterable[int]], symbols: Sequence[str] | None
     return SubshiftSpec(m, stored, q, symbols, succs, preds)
 
 
+def primitivity_exponent(adjacency: np.ndarray) -> int | None:
+    """Smallest ``q`` with ``adjacency ** q`` entrywise positive, or None if
+    no power up to the sharp bound ``(n-1)**2 + 1`` for primitive matrices is."""
+    A = np.asarray(adjacency, dtype=np.int64)
+    power = A.astype(bool)
+    for k in range(1, (A.shape[0] - 1) ** 2 + 2):
+        if power.all():
+            return k
+        power = (power.astype(np.uint8) @ A) > 0
+    return None
+
+
 def is_admissible(spec: SubshiftSpec, word: Sequence[int]) -> bool:
     """True iff every symbol is in range and every adjacent pair is allowed."""
     w = tuple(word)
@@ -134,10 +139,7 @@ def admissible_words(spec: SubshiftSpec, length: int) -> list[Word]:
     """All admissible words of the given length, in lexicographic order."""
     if length < 1:
         raise ValueError("word length must be >= 1")
-    words: list[Word] = [(a,) for a in range(spec.alphabet_size)]
-    for _ in range(length - 1):
-        words = [w + (b,) for w in words for b in spec.succs[w[-1]]]
-    return words
+    return [w for a in range(spec.alphabet_size) for w in unstable_leaf_words(spec, a, length)]
 
 
 def unstable_leaf_words(spec: SubshiftSpec, start_symbol: int, n: int) -> list[Word]:

@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 import numpy as np
 
 from .errors import MemoryTooLarge, NoConvergence, NotPrimitive, ValidationError
-from .sft import MAX_POTENTIAL_VALUE, Potential, SubshiftSpec, Word, admissible_words
+from .sft import (MAX_POTENTIAL_VALUE, Potential, SubshiftSpec, Word, admissible_words,
+                  primitivity_exponent)
 
 
 @dataclass(eq=False)
@@ -44,8 +46,17 @@ class RecodedChain:
     def last_symbols(self) -> np.ndarray:
         return np.array([w[-1] for w in self.states], dtype=np.int64)
 
-    def successor_lists(self) -> list[np.ndarray]:
-        return [np.flatnonzero(self.adjacency[i]) for i in range(self.num_states)]
+    @cached_property
+    def successor_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(succ, degree)``: ``succ[s, :degree[s]]`` are the successors of
+        state ``s`` in increasing order, padded with 0 to the largest degree.
+
+        Read off ``step``, whose rows already ascend: states are ordered
+        lexicographically and the targets of a row share their prefix.
+        """
+        degree = (self.step >= 0).sum(axis=1)
+        order = np.argsort(self.step < 0, axis=1, kind="stable")[:, : int(degree.max())]
+        return np.maximum(np.take_along_axis(self.step, order, axis=1), 0), degree
 
     def primitivity_power(self) -> int:
         """Smallest q with (adjacency ** q) entrywise positive.
@@ -55,15 +66,8 @@ class RecodedChain:
         power up to the sharp bound works.
         """
         if self._primitivity is None:
-            n = self.num_states
-            bound = (n - 1) ** 2 + 1
-            power = self.adjacency.astype(bool)
-            for k in range(1, bound + 1):
-                if power.all():
-                    self._primitivity = k
-                    break
-                power = (power.astype(np.uint8) @ self.adjacency) > 0
-            else:
+            self._primitivity = primitivity_exponent(self.adjacency)
+            if self._primitivity is None:
                 raise NotPrimitive("recoded state graph is not primitive")
         return self._primitivity
 
@@ -120,6 +124,15 @@ def transfer_matrix(chain: RecodedChain, phi: Potential) -> WeightedMatrix:
     vec = phi_vector(chain, phi)
     matrix = chain.adjacency.astype(np.float64) * np.exp(vec)[:, None]
     return WeightedMatrix(chain, matrix, vec)
+
+
+def recoded_transfer_matrix(spec: SubshiftSpec, phi: Potential,
+                            block: int | None = None) -> WeightedMatrix:
+    """Transfer matrix of ``phi`` on the ``block``-word chain (default: its memory)."""
+    k = phi.memory if block is None else block
+    if k < phi.memory:
+        raise MemoryTooLarge(f"block {k} below potential memory {phi.memory}")
+    return transfer_matrix(recode(spec, k), phi)
 
 
 @dataclass
@@ -304,11 +317,7 @@ def pressure(spec: SubshiftSpec, phi: Potential, block: int | None = None,
     The value is independent of the recoding block as long as
     ``block >= phi.memory``.
     """
-    k = phi.memory if block is None else block
-    if k < phi.memory:
-        raise MemoryTooLarge(f"block {k} below potential memory {phi.memory}")
-    chain = recode(spec, k)
-    rpf = rpf_solve(transfer_matrix(chain, phi), tol=tol)
+    rpf = rpf_solve(recoded_transfer_matrix(spec, phi, block), tol=tol)
     return math.log(rpf.eigenvalue)
 
 
@@ -336,6 +345,23 @@ def _polish_stationary(pi: np.ndarray, P: np.ndarray, rounds: int = 64) -> np.nd
     return pi
 
 
+def _markov_measure(chain: RecodedChain, W: np.ndarray, lam: float, h: np.ndarray,
+                    v: np.ndarray) -> MarkovMeasure:
+    """``P[w, w'] = W[w, w'] h[w'] / (lam h[w])`` with stationary vector
+    ``v * h``, from Perron eigendata ``(lam, h, v)`` of ``W``.
+
+    Raises :class:`NoConvergence` when entries of ``h`` have underflowed so
+    far that the chain comes out NaN.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        P = W * h[None, :] / (lam * h[:, None])
+        P = P / P.sum(axis=1, keepdims=True)
+        pi = _polish_stationary(v * h, P)
+    if not (np.isfinite(P).all() and np.isfinite(pi).all()):
+        raise NoConvergence("Perron vector entries underflow, so the Markov chain is undefined")
+    return MarkovMeasure(chain, P, pi)
+
+
 def gibbs_measure(rpf: RPFData, M: WeightedMatrix) -> MarkovMeasure:
     """The equilibrium Markov measure built from Perron eigendata.
 
@@ -343,22 +369,110 @@ def gibbs_measure(rpf: RPFData, M: WeightedMatrix) -> MarkovMeasure:
     ``pi = left * right``; this measure maximizes entropy plus the integral
     of the potential.
     """
-    lam, h, v = rpf.eigenvalue, rpf.right, rpf.left
-    P = M.matrix * h[None, :] / (lam * h[:, None])
-    P = P / P.sum(axis=1, keepdims=True)
-    pi = _polish_stationary(v * h, P)
-    return MarkovMeasure(M.chain, P, pi)
+    return _markov_measure(M.chain, M.matrix, rpf.eigenvalue, rpf.right, rpf.left)
 
 
 def equilibrium_measure(spec: SubshiftSpec, phi: Potential, block: int | None = None,
                         tol: float = 1e-13) -> MarkovMeasure:
     """Convenience: recode, weight, solve and assemble the Gibbs measure."""
-    k = phi.memory if block is None else block
-    if k < phi.memory:
-        raise MemoryTooLarge(f"block {k} below potential memory {phi.memory}")
-    chain = recode(spec, k)
-    M = transfer_matrix(chain, phi)
+    M = recoded_transfer_matrix(spec, phi, block)
     return gibbs_measure(rpf_solve(M, tol=tol), M)
+
+
+@dataclass(eq=False)
+class TiltFamily:
+    """Perron eigendata of ``W(t) = matrix * exp(gvec + t * pvec)``, weights
+    on the source state, as ``t`` varies.
+
+    ``q(t) = log lam(t) - log lam(0)`` is convex with ``q'(t)`` the mean of
+    ``pvec`` under the Markov measure of ``W(t)``.  :meth:`of` builds the
+    family of the potential ``base + t * obs``, whose ``q`` is the scaled
+    cumulant of ``obs``; a stochastic ``matrix`` with ``gvec = 0`` gives the
+    exponential tilts of that chain.
+    """
+
+    chain: RecodedChain
+    matrix: np.ndarray
+    gvec: np.ndarray
+    pvec: np.ndarray
+    tol: float = 1e-13
+
+    @classmethod
+    def of(cls, spec: SubshiftSpec, base: Potential, obs: Potential, tol: float = 1e-13) -> "TiltFamily":
+        """The family of ``base + t * obs`` on the chain recoded at their memory."""
+        chain = recode(spec, max(base.memory, obs.memory))
+        return cls(chain, chain.adjacency.astype(np.float64), phi_vector(chain, base),
+                   phi_vector(chain, obs), tol)
+
+    @property
+    def t_limit(self) -> float:
+        """Largest ``|t|`` tried; keeps the tilted values inside the exp() range."""
+        pmax = float(np.max(np.abs(self.pvec)))
+        gmax = float(np.max(np.abs(self.gvec)))
+        return min(200.0, 0.999 * (MAX_POTENTIAL_VALUE - gmax) / pmax) if pmax > 0 else 200.0
+
+    @cached_property
+    def base_log(self) -> float:
+        return self._log_eig(0.0)
+
+    def _weighted(self, t: float) -> np.ndarray:
+        return self.matrix * np.exp(self.gvec + t * self.pvec)[:, None]
+
+    def _log_eig(self, t: float) -> float:
+        lam, _, _, _, _ = _perron(self._weighted(t), self.tol, 10 ** 6)
+        return math.log(lam)
+
+    def q(self, t: float) -> float:
+        return self._log_eig(t) - self.base_log
+
+    def measure(self, t: float) -> MarkovMeasure:
+        W = self._weighted(t)
+        lam, h, v, _, _ = _perron(W, self.tol, 10 ** 6)
+        return _markov_measure(self.chain, W, lam, h, v)
+
+    def q_prime(self, t: float) -> float:
+        """Exact pressure derivative: the observable mean under the tilt."""
+        return float(self.measure(t).stationary @ self.pvec)
+
+    def solve_mean(self, alpha: float, tol: float = 1e-10) -> tuple[float, bool]:
+        """Bisection for ``q'(t) == alpha``; second value marks a capped bracket.
+
+        Near the ends of the ergodic range the solution runs off to
+        ``+-infinity``; the bracket is then capped and the capped endpoint
+        returned, which realizes the monotone limit of the rate values.  The
+        bracket also stops short of the cap at a tilt so large that its
+        chain cannot be computed (:class:`NoConvergence`).
+        """
+        cap = self.t_limit
+
+        def widen(t: float, q_t: float, short) -> tuple[float, float]:
+            while short(q_t) and abs(t) < cap:
+                nxt = math.copysign(min(2.0 * abs(t), cap), t)
+                try:
+                    q_t = self.q_prime(nxt)
+                except NoConvergence:
+                    break
+                t = nxt
+            return t, q_t
+
+        hi, q_hi = widen(1.0, self.q_prime(1.0), lambda q: q < alpha)
+        lo, q_lo = widen(-1.0, self.q_prime(-1.0), lambda q: q > alpha)
+        if q_hi < alpha:
+            return hi, True
+        if q_lo > alpha:
+            return lo, True
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            qm = self.q_prime(mid)
+            if abs(qm - alpha) <= tol:
+                return mid, False
+            if qm < alpha:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
+                break
+        return 0.5 * (lo + hi), False
 
 
 def entropy(mu: MarkovMeasure) -> float:
@@ -383,11 +497,10 @@ def variational_gap(spec: SubshiftSpec, pot: Potential, mu: MarkovMeasure) -> fl
 def random_markov_measure(chain: RecodedChain, rng: np.random.Generator,
                           concentration: float = 1.0) -> MarkovMeasure:
     """Random fully supported Markov measure on the chain (Dirichlet rows)."""
-    n = chain.num_states
-    P = np.zeros((n, n))
-    for i in range(n):
-        succ = np.flatnonzero(chain.adjacency[i])
-        P[i, succ] = rng.dirichlet(np.full(len(succ), concentration))
+    succ, degree = chain.successor_table
+    P = np.zeros((chain.num_states, chain.num_states))
+    for i, d in enumerate(degree):
+        P[i, succ[i, :d]] = rng.dirichlet(np.full(d, concentration))
     return MarkovMeasure(chain, P, stationary_distribution(P))
 
 

@@ -32,6 +32,15 @@ def gm():
     return validate_spec([[1, 1], [1, 0]])
 
 
+@pytest.fixture(scope="session")
+def fs3_underflow():
+    """Full 3-shift with the memory-2 potential G(a, b) = (0, -350, -700)[a],
+    whose right Perron vector has entries that underflow to 0."""
+    fs3 = validate_spec([[1, 1, 1]] * 3)
+    G = Potential(2, {(a, b): (0.0, -350.0, -700.0)[a] for a in range(3) for b in range(3)})
+    return fs3, G
+
+
 def bernoulli_potential(spec, p):
     """Memory-1 potential with value log p on symbol 0 and log (1-p) on symbol 1."""
     return Potential(1, {(0,): math.log(p), (1,): math.log(1 - p)})

@@ -14,7 +14,9 @@ from ldplab import (
     IncompatibleSupport,
     Interval,
     MarkovMeasure,
+    NoConvergence,
     Potential,
+    TiltFamily,
     contraction_check,
     deviation_mass_exact,
     deviation_mass_mc,
@@ -32,8 +34,9 @@ from ldplab import (
     rate_scalar,
     recode,
     recommended_tilt,
+    validate_spec,
 )
-from ldplab.ldp import _TiltFamily, _detect_lattice
+from ldplab.ldp import _detect_lattice
 
 from conftest import GOLDEN_RATIO, bernoulli_potential, golden_lambda, golden_rate
 
@@ -87,7 +90,7 @@ def test_q_golden_mean_large_tilt(gm):
 
 def test_q_convex_in_t(gm):
     z, ind1 = Potential.zero(gm), Potential.indicator(gm, 1)
-    fam = _TiltFamily(gm, z, ind1)
+    fam = TiltFamily.of(gm, z, ind1)
     ts = np.linspace(-3, 3, 25)
     vals = [fam.q(t) for t in ts]
     assert (np.diff(vals, 2) >= -1e-9).all()
@@ -119,7 +122,7 @@ def test_q_equals_pressure_of_combined_potential(gm):
 def test_q_derivative_matches_finite_differences(gm):
     z = Potential.zero(gm)
     phi = Potential(1, {(0,): 0.4, (1,): -1.1})
-    fam = _TiltFamily(gm, z, phi)
+    fam = TiltFamily.of(gm, z, phi)
     h = 1e-6
     for t in (-1.0, 0.7):
         fd = (fam.q(t + h) - fam.q(t - h)) / (2 * h)
@@ -228,9 +231,34 @@ def test_rate_curve_invariants(gm):
     assert (np.diff(above) >= -1e-10).all()  # nondecreasing above it
 
 
+def test_tilt_family_raises_when_perron_vector_underflows(fs3_underflow):
+    """q' was NaN here and the rate a silent 0.0."""
+    fs3, G = fs3_underflow
+    ind1 = Potential.indicator(fs3, 1)
+    with pytest.raises(NoConvergence):
+        q_derivative(fs3, G, ind1, 0.0)
+    with pytest.raises(NoConvergence):
+        rate_scalar(fs3, G, ind1, 0.2)
+
+
+def test_rate_at_range_end_caps_bracket_before_underflowing_tilt():
+    """At alpha = min phi the bracket grows until the tilted chain cannot be
+    computed (t = -200 here); it is capped there, and the rate is the
+    zero-temperature limit, the entropy of the shift (the minimum sits on a
+    fixed point with zero entropy)."""
+    A = [[0, 0, 0, 1], [0, 0, 1, 1], [1, 0, 1, 1], [1, 1, 0, 0]]
+    spec = validate_spec(A)
+    phi = Potential(1, {(0,): 2.0, (1,): 2.0, (2,): 0.0, (3,): 0.0})
+    curve = rate_curve(spec, Potential.zero(spec), phi, [0.0])
+    entropy_A = math.log(max(abs(np.linalg.eigvals(np.array(A, dtype=float)))))
+    assert curve.boundary == (True,)
+    assert curve.tilts == (-128.0,)
+    assert curve.values[0] == pytest.approx(entropy_A, rel=1e-12)
+
+
 def test_duality_double_transform_recovers_q(fs2, gm):
     for spec in (fs2, gm):
-        fam = _TiltFamily(spec, Potential.zero(spec), Potential.indicator(spec, 1))
+        fam = TiltFamily.of(spec, Potential.zero(spec), Potential.indicator(spec, 1))
         for t in (-2.0, -1.0, 0.0, 1.0, 2.0):
             alpha = fam.q_prime(t)
             ts, _ = fam.solve_mean(alpha)

@@ -6,6 +6,7 @@ import pytest
 from ldplab import (
     InadmissiblePast,
     InconsistentStart,
+    NoConvergence,
     Potential,
     WordTooShort,
     birkhoff_sum,
@@ -17,6 +18,8 @@ from ldplab import (
     sample_paths,
     unstable_leaf_words,
 )
+
+from ldplab.leaf import CHUNK_ROWS
 
 from conftest import GOLDEN_RATIO, bernoulli_potential
 
@@ -102,6 +105,12 @@ def test_total_mass_one_at_depth_twenty(fs2):
     for _ in range(19):
         v = v @ mu.transition
     assert float(v.sum()) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_leaf_measure_raises_when_perron_vector_underflows(fs3_underflow):
+    fs3, G = fs3_underflow
+    with pytest.raises(NoConvergence):
+        leaf_measure(fs3, G, (0, 0))
 
 
 def test_kolmogorov_consistency(fs2, gm):
@@ -252,6 +261,10 @@ def test_sampler_deterministic_and_index_consistent(uniform_leaf):
         assert sample_path(uniform_leaf, 12, seed=123, index=i) == tuple(batch[i])
     other = sample_paths(uniform_leaf, 12, 40, seed=124)
     assert (batch != other).any()
+    # Indices on both sides of the first counter-block boundary.
+    batch = sample_paths(uniform_leaf, 4, CHUNK_ROWS + 2, seed=123)
+    for i in (CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1):
+        assert sample_path(uniform_leaf, 4, seed=123, index=i) == tuple(batch[i])
 
 
 def test_sampler_respects_support(gm):

@@ -86,6 +86,9 @@ def test_recoded_chain_is_primitive(m, block):
     for spec in specs:
         chain = recode(spec, block)
         assert chain.primitivity_power() == _brute_force_exponent(chain.adjacency)
+        succ, degree = chain.successor_table
+        for s in range(chain.num_states):
+            assert succ[s, :degree[s]].tolist() == np.flatnonzero(chain.adjacency[s]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +296,14 @@ def test_gibbs_stochasticity_and_stationarity(fs2, gm):
             assert np.max(np.abs(mu.transition.sum(axis=1) - 1)) < 1e-12
             assert np.max(np.abs(mu.stationary @ mu.transition - mu.stationary)) < 1e-12
             assert np.all((mu.transition > 0) == (mu.chain.adjacency > 0))
+
+
+def test_gibbs_raises_when_perron_vector_underflows(fs3_underflow):
+    """The chain would come out NaN (with a silent NaN entropy); it raises."""
+    fs3, G = fs3_underflow
+    assert pressure(fs3, G) == 0.0
+    with pytest.raises(NoConvergence):
+        equilibrium_measure(fs3, G)
 
 
 # ---------------------------------------------------------------------------
