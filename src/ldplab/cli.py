@@ -2,8 +2,9 @@
 
 Loads a system description file, dispatches to the library and emits
 machine-readable results (JSON lines or CSV).  Every run is prefixed by a
-reproducibility header carrying the file hash, the argv, the seed and the
-artifact version, so identical invocations produce byte-identical output.
+reproducibility header carrying the file hash, the argv, the seed and
+budget (null where the subcommand takes none) and the artifact version, so
+identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -283,7 +284,7 @@ def _cmd_leaf_audit(args, out: _Output) -> None:
     spec, pots = load_spec(args.spec)
     mu = leaf_measure(spec, _get_potential(pots, args.G), parse_word(spec, args.past),
                       block=args.block)
-    kwargs = {} if args.effective_budget is None else {"budget": args.effective_budget}
+    kwargs = {} if args.budget is None else {"budget": args.budget}
     rep = gibbs_ratio_audit(mu, n_max=args.n_max, r=args.r, **kwargs)
     out.add({
         "r": rep.epsilon_exponent,
@@ -332,7 +333,7 @@ def _cmd_deviation_exact(args, out: _Output) -> None:
     G, phi, mu = _leaf_for(args, spec, pots)
     iv = _interval(args)
     for n in _lengths(args):
-        p = deviation_mass_exact(mu, phi, iv, n, budget=args.effective_budget,
+        p = deviation_mass_exact(mu, phi, iv, n, budget=args.budget,
                                  mode=args.mode, bin_width=args.bin_width)
         out.add(_dev_row(p))
 
@@ -421,7 +422,11 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--spec", required=True, help="system description JSON file")
         p.add_argument("--out", help="write output to this path instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
+
+    def seed(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=0, help="unsigned 64-bit stream seed")
+
+    def budget(p: argparse.ArgumentParser) -> None:
         p.add_argument("--budget", type=float, default=None,
                        help="enumeration budget override (also: LDPLAB_BUDGET)")
 
@@ -471,6 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--block", type=int, default=None)
+    budget(p)
     p.set_defaults(func=_cmd_leaf_audit)
 
     p = sub.add_parser("growth", help="finite-n growth of the tilted leaf integral")
@@ -500,11 +506,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = deviation("deviation-exact", "exact deviation-set masses", _cmd_deviation_exact)
     p.add_argument("--mode", choices=("auto", "enumerate", "dp"), default="auto")
     p.add_argument("--bin-width", type=float, default=1e-3)
+    budget(p)
 
     p = deviation("deviation-mc", "Monte Carlo deviation-set masses", _cmd_deviation_mc)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--tilt", default=None, help="tilt value, or 'auto'")
-    p.set_defaults(func=_cmd_deviation_mc)
+    seed(p)
 
     p = sub.add_parser("fit", help="asymptotic rate fit of a deviation series file")
     common(p, spec=False)
@@ -514,6 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("axioms", help="randomized bracket/contraction axiom checks")
     common(p)
     p.add_argument("--samples", type=int, default=1000)
+    seed(p)
     p.set_defaults(func=_cmd_axioms)
 
     return top
@@ -539,17 +547,16 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(e.code or 0)
 
     env_budget = os.environ.get("LDPLAB_BUDGET")
-    budget = args.budget if args.budget is not None else (
-        float(env_budget) if env_budget else None)
-    args.effective_budget = budget
+    if "budget" in args and args.budget is None and env_budget:
+        args.budget = float(env_budget)
 
     header = {
         "command": args.command,
         "argv": argv,
         "spec": getattr(args, "spec", None),
         "spec_sha256": _spec_hash(getattr(args, "spec", None)),
-        "seed": args.seed,
-        "budget": budget,
+        "seed": getattr(args, "seed", None),
+        "budget": getattr(args, "budget", None),
         "version": __version__,
     }
     out = _Output(args.format, header)

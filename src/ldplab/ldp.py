@@ -384,13 +384,13 @@ def _lattice_masses(mu: LeafMeasure, z: Sequence[int], n: int) -> np.ndarray:
     return v.sum(axis=0)
 
 
-def _dp_point(mu: LeafMeasure, pvec: np.ndarray, interval: Interval, n: int,
+def _dp_point(mu: LeafMeasure, pvec: np.ndarray, lattice, interval: Interval, n: int,
               budget: float, bin_width: float) -> DeviationPoint:
-    lattice = _detect_lattice(pvec)
+    """Lattice DP on ``lattice`` (from :func:`_detect_lattice`), or the
+    certified binned DP at ``bin_width`` when it is None."""
     if lattice is not None:
         offset, gap, z = lattice
         slack = Fraction(0)
-        used_width = float(gap)
     else:
         gap = Fraction(bin_width)
         raw = [int(round(float(v) / bin_width)) for v in pvec]
@@ -398,7 +398,6 @@ def _dp_point(mu: LeafMeasure, pvec: np.ndarray, interval: Interval, n: int,
         z = [zi - zmin for zi in raw]
         offset = gap * zmin
         slack = n * max((abs(Fraction(float(v)) - gap * r) for v, r in zip(pvec, raw)), default=Fraction(0))
-        used_width = bin_width
     cells = mu.chain.num_states * (n * max(z) + 1)
     if cells > budget:
         raise BudgetExceeded(f"lattice dynamic program needs {cells} cells, budget {budget:.3g}")
@@ -426,24 +425,19 @@ def _dp_point(mu: LeafMeasure, pvec: np.ndarray, interval: Interval, n: int,
                 low += float(m)
     mass = 0.5 * (low + high)
     return DeviationPoint(
-        n=n, mass=mass, log_mass=_log_or_neg_inf(mass), method="dp-binned",
-        mass_low=low, mass_high=high,
-        bin_width=used_width if lattice is None else float(gap),
+        n=n, mass=mass, log_mass=_log_or_neg_inf(mass),
+        method="dp-binned" if lattice is None else "dp-lattice",
+        mass_low=low, mass_high=high, bin_width=float(gap),
     )
 
 
-def _enum_point(mu: LeafMeasure, pvec: np.ndarray, interval: Interval, n: int,
-                budget: float) -> DeviationPoint:
+def _enum_point(mu: LeafMeasure, pvec: np.ndarray, interval: Interval, n: int) -> DeviationPoint:
     chain = mu.chain
     K = chain.block
-    _, out_deg = chain.successor_table
-
     state = np.array([mu.start_index], dtype=np.int64)
     logmass = np.zeros(1)
     birk = np.zeros(1)
     for j in range(1, n + K):
-        if len(state) * 2 > budget and float(out_deg[state].sum()) > budget:
-            raise BudgetExceeded(f"enumeration exceeds budget {budget:.3g} at depth {j}")
         par, new_state, logmass = expand_word_tree(chain, mu.log_transition, state, logmass)
         birk = birk[par] + (pvec[new_state] if j >= K else 0.0)
         state = new_state
@@ -482,17 +476,18 @@ def deviation_mass_exact(mu: LeafMeasure, obs: Potential, interval: Interval, n:
 
     if mode not in ("auto", "dp", "enumerate"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "auto":
-        lattice = _detect_lattice(pvec)
-        if lattice is not None and mu.chain.num_states * (n * max(lattice[2]) + 1) <= budget:
-            mode = "dp"
+    lattice = None if mode == "enumerate" else _detect_lattice(pvec)
+    if mode == "auto" and lattice is not None and (
+            mu.chain.num_states * (n * max(lattice[2]) + 1) <= budget):
+        mode = "dp"
     if mode != "dp":
+        # No level of the word tree outgrows the last: every state has a successor.
         count = leaf_word_counts(mu.chain, mu.start_index, n + mu.chain.block - 1)[-1]
         if count <= budget:
-            return _enum_point(mu, pvec, interval, n, budget)
+            return _enum_point(mu, pvec, interval, n)
         if mode == "enumerate":
             raise BudgetExceeded(f"enumeration needs about {count:.3g} words, budget {budget:.3g}")
-    return _dp_point(mu, pvec, interval, n, budget, bin_width)
+    return _dp_point(mu, pvec, lattice, interval, n, budget, bin_width)
 
 
 def deviation_series(mu: LeafMeasure, obs: Potential, interval: Interval,

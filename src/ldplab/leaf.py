@@ -296,15 +296,24 @@ def gibbs_ratio_audit(mu: LeafMeasure, n_max: int, r: int,
 # Counter-based path sampling
 
 
-def _uniform_block(seed: int, chunk_index: int, rows: int, steps: int) -> np.ndarray:
-    """Uniforms for rows of one counter block, as a (rows, steps) array.
+def _uniform_block(seed: int, chunk_index: int, first_row: int, rows: int,
+                   steps: int) -> np.ndarray:
+    """Uniforms for rows ``first_row .. first_row + rows - 1`` of one counter
+    block, as a (rows, steps) array.
 
     Each block owns a disjoint 2**128 slice of the Philox counter space, so
-    draws for sample index i depend only on (seed, i, steps).
+    draws for sample index i depend only on (seed, i, steps).  Row ``r``
+    starts ``r * steps`` doubles into the block; Philox yields four per
+    counter step, so the generator advances the counter and then discards
+    the remainder, reading exactly the values a draw from row 0 would.
     """
     key = int(seed) & ((1 << 128) - 1)
     bg = np.random.Philox(key=key, counter=chunk_index << 128)
-    return np.random.Generator(bg).random((rows, steps))
+    offset = first_row * steps
+    bg.advance(offset // 4)
+    gen = np.random.Generator(bg)
+    gen.random(offset % 4)
+    return gen.random((rows, steps))
 
 
 def _sampling_tables(chain: RecodedChain, transition: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -328,16 +337,17 @@ def markov_walks(chain: RecodedChain, transition: np.ndarray, start_index: int, 
 
     Index ``i`` reads row ``i % CHUNK_ROWS`` of counter block ``i // CHUNK_ROWS``,
     so its walk depends only on (seed, i, steps).  Per counter block, one
-    ``(rows, steps)`` array of uniforms is drawn and ``(rows, j, cur, nxt)``
-    yielded for ``j = 1 .. steps``: ``rows`` slices the block's walks (counted
-    from ``first``), ``cur``/``nxt`` are their states before/after step ``j``.
+    ``(rows, steps)`` array of uniforms is drawn for the requested rows only,
+    and ``(rows, j, cur, nxt)`` yielded for ``j = 1 .. steps``: ``rows``
+    slices the block's walks (counted from ``first``), ``cur``/``nxt`` are
+    their states before/after step ``j``.
     """
     succ, cum = _sampling_tables(chain, transition)
     lo, end = first, first + count
     while lo < end:
         block, row = divmod(lo, CHUNK_ROWS)
         hi = min(end, (block + 1) * CHUNK_ROWS)
-        U = _uniform_block(seed, block, hi - block * CHUNK_ROWS, steps)[row:]
+        U = _uniform_block(seed, block, row, hi - lo, steps)
         rows = slice(lo - first, hi - first)
         cur = np.full(hi - lo, start_index, dtype=np.int64)
         for j in range(1, steps + 1):

@@ -54,9 +54,6 @@ class SubshiftSpec:
     succs: tuple[tuple[int, ...], ...] = field(repr=False)
     preds: tuple[tuple[int, ...], ...] = field(repr=False)
 
-    def allowed(self, a: int, b: int) -> bool:
-        return bool(self.transitions[a, b])
-
     def successors(self, a: int) -> tuple[int, ...]:
         return self.succs[a]
 
@@ -164,70 +161,65 @@ class PointRep:
 
     The denoted sequence is::
 
-        ... L L | T | C | R | P P ...
+        ... L L | W | P P ...
 
-    where ``L = left_cycle`` repeats into the past, ``T = left_transient``,
-    ``C = core`` (the block containing coordinate 0), ``R = right_transient``
-    and ``P = right_cycle`` repeats into the future.  ``core_start`` is the
-    coordinate of ``core[0]`` and satisfies
-    ``core_start <= 0 < core_start + len(core)``.
+    where ``L = left_cycle`` repeats into the past, ``W = word`` is a finite
+    word whose first symbol sits at coordinate ``start``, and
+    ``P = right_cycle`` repeats into the future.  The shift only moves
+    ``start``; the word need not cover coordinate 0.
+
+    The constructor takes the word in three pieces, ``left_transient``,
+    ``core`` and ``right_transient``, where ``core`` starts at coordinate
+    ``core_start`` and must contain coordinate 0.
 
     Eventually periodic points are dense and closed under the shift and the
     bracket, and make equality and the metric exactly computable.
     """
 
-    __slots__ = ("spec", "left_cycle", "left_transient", "core",
-                 "right_transient", "right_cycle", "core_start")
+    __slots__ = ("spec", "left_cycle", "word", "right_cycle", "start")
 
     def __init__(self, spec: SubshiftSpec, left_cycle: Sequence[int], core: Sequence[int],
                  right_cycle: Sequence[int], left_transient: Sequence[int] = (),
                  right_transient: Sequence[int] = (), core_start: int = 0):
-        self.spec = spec
-        self.left_cycle = tuple(left_cycle)
-        self.left_transient = tuple(left_transient)
-        self.core = tuple(core)
-        self.right_transient = tuple(right_transient)
-        self.right_cycle = tuple(right_cycle)
-        self.core_start = core_start
-        if not self.left_cycle or not self.right_cycle:
+        left_cycle, right_cycle, core = tuple(left_cycle), tuple(right_cycle), tuple(core)
+        left_transient = tuple(left_transient)
+        if not left_cycle or not right_cycle:
             raise ValidationError("left and right cycles must be non-empty")
-        if not self.core:
+        if not core:
             raise ValidationError("core must be non-empty")
-        if not (core_start <= 0 < core_start + len(self.core)):
+        if not (core_start <= 0 < core_start + len(core)):
             raise ValidationError("core must contain coordinate 0")
+        self._init(spec, left_cycle, left_transient + core + tuple(right_transient),
+                   right_cycle, core_start - len(left_transient))
+
+    def _init(self, spec: SubshiftSpec, left_cycle: Word, word: Word, right_cycle: Word,
+              start: int) -> "PointRep":
+        self.spec = spec
+        self.left_cycle = left_cycle
+        self.word = word
+        self.right_cycle = right_cycle
+        self.start = start
         # One extra cycle length on each side covers all wrap-around pairs.
-        lo = self.left_extent - len(self.left_cycle) - 1
-        hi = self.right_extent + len(self.right_cycle)
-        for i in range(lo, hi):
+        for i in range(start - len(left_cycle) - 1, self.end + len(right_cycle)):
             a, b = self.symbol_at(i), self.symbol_at(i + 1)
             if not (0 <= a < spec.alphabet_size) or not (0 <= b < spec.alphabet_size):
                 raise ValidationError(f"symbol out of range at coordinate {i}")
             if not spec.transitions[a, b]:
                 raise ValidationError(f"forbidden pair ({a},{b}) at coordinate {i}")
+        return self
 
     @property
-    def left_extent(self) -> int:
-        """Coordinate below which the sequence is purely left-cycle periodic."""
-        return self.core_start - len(self.left_transient)
-
-    @property
-    def right_extent(self) -> int:
+    def end(self) -> int:
         """Coordinate from which on the sequence is purely right-cycle periodic."""
-        return self.core_start + len(self.core) + len(self.right_transient)
+        return self.start + len(self.word)
 
     def symbol_at(self, i: int) -> int:
-        if i < self.core_start:
-            j = i - self.left_extent
-            if j >= 0:
-                return self.left_transient[j]
+        j = i - self.start
+        if j < 0:
             return self.left_cycle[j % len(self.left_cycle)]
-        j = i - self.core_start
-        if j < len(self.core):
-            return self.core[j]
-        j -= len(self.core)
-        if j < len(self.right_transient):
-            return self.right_transient[j]
-        return self.right_cycle[(j - len(self.right_transient)) % len(self.right_cycle)]
+        if j < len(self.word):
+            return self.word[j]
+        return self.right_cycle[(j - len(self.word)) % len(self.right_cycle)]
 
     def window(self, start: int, length: int) -> Word:
         return tuple(self.symbol_at(start + i) for i in range(length))
@@ -241,21 +233,19 @@ class PointRep:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         j = lambda w: "".join(str(s) for s in w)
-        return (f"...({j(self.left_cycle)}){j(self.left_transient)}"
-                f"[{j(self.core)}@{self.core_start}]{j(self.right_transient)}"
-                f"({j(self.right_cycle)})...")
+        return f"...({j(self.left_cycle)})[{j(self.word)}@{self.start}]({j(self.right_cycle)})..."
 
 
 def first_difference(x: PointRep, y: PointRep) -> int | None:
     """Smallest ``|i|`` with ``x_i != y_i``, or None if the sequences agree.
 
-    Beyond the transient regions both sequences are periodic, so agreement
-    on one full common period in each direction decides global equality.
+    Outside their words both sequences are periodic, so agreement on one
+    full common period in each direction decides global equality.
     """
     right_period = math.lcm(len(x.right_cycle), len(y.right_cycle))
-    right_bound = max(x.right_extent, y.right_extent, 0) + right_period
+    right_bound = max(x.end, y.end, 0) + right_period
     left_period = math.lcm(len(x.left_cycle), len(y.left_cycle))
-    left_bound = min(x.left_extent, y.left_extent, 0) - left_period
+    left_bound = min(x.start, y.start, 0) - left_period
     for rad in range(max(right_bound, -left_bound) + 1):
         if rad <= right_bound and x.symbol_at(rad) != y.symbol_at(rad):
             return rad
@@ -272,25 +262,8 @@ def distance(x: PointRep, y: PointRep) -> float:
 
 def shift(x: PointRep, steps: int = 1) -> PointRep:
     """Left shift: ``shift(x, s)_i == x_{i+s}``.  ``steps`` may be negative."""
-    lc, lt = x.left_cycle, x.left_transient
-    core, rt, rc = x.core, x.right_transient, x.right_cycle
-    cs = x.core_start - steps
-    while cs > 0:
-        if lt:
-            sym, lt = lt[-1], lt[:-1]
-        else:
-            sym = lc[-1]
-            lc = lc[-1:] + lc[:-1]
-        core = (sym,) + core
-        cs -= 1
-    while cs + len(core) <= 0:
-        if rt:
-            sym, rt = rt[0], rt[1:]
-        else:
-            sym = rc[0]
-            rc = rc[1:] + rc[:1]
-        core = core + (sym,)
-    return PointRep(x.spec, lc, core, rc, lt, rt, cs)
+    return PointRep.__new__(PointRep)._init(x.spec, x.left_cycle, x.word, x.right_cycle,
+                                            x.start - steps)
 
 
 def bracket(x: PointRep, y: PointRep) -> PointRep:
@@ -303,9 +276,11 @@ def bracket(x: PointRep, y: PointRep) -> PointRep:
     s0 = x.symbol_at(0)
     if s0 != y.symbol_at(0):
         raise BracketUndefined(f"bracket needs matching coordinate-0 symbols, got {s0} and {y.symbol_at(0)}")
-    lt = tuple(y.symbol_at(i) for i in range(y.left_extent, 0))
-    rt = tuple(x.symbol_at(i) for i in range(1, x.right_extent))
-    return PointRep(x.spec, y.left_cycle, (s0,), x.right_cycle, lt, rt, 0)
+    lo, hi = min(y.start, 0), max(x.end, 1)
+    # Below lo only y's left cycle and from hi on only x's right cycle remain.
+    return PointRep.__new__(PointRep)._init(
+        x.spec, y.window(lo - len(y.left_cycle), len(y.left_cycle)),
+        y.window(lo, -lo) + x.window(0, hi), x.window(hi, len(x.right_cycle)), lo)
 
 
 @dataclass(frozen=True)

@@ -117,13 +117,11 @@ class WeightedMatrix:
 
     chain: RecodedChain
     matrix: np.ndarray
-    phi_by_state: np.ndarray
 
 
 def transfer_matrix(chain: RecodedChain, phi: Potential) -> WeightedMatrix:
-    vec = phi_vector(chain, phi)
-    matrix = chain.adjacency.astype(np.float64) * np.exp(vec)[:, None]
-    return WeightedMatrix(chain, matrix, vec)
+    matrix = chain.adjacency.astype(np.float64) * np.exp(phi_vector(chain, phi))[:, None]
+    return WeightedMatrix(chain, matrix)
 
 
 def recoded_transfer_matrix(spec: SubshiftSpec, phi: Potential,
@@ -310,14 +308,13 @@ def rpf_solve(M: WeightedMatrix, tol: float = 1e-13, max_iter: int = 10 ** 6) ->
     return RPFData(lam, h, v, res, it, lo * (1.0 - slack), hi * (1.0 + slack))
 
 
-def pressure(spec: SubshiftSpec, phi: Potential, block: int | None = None,
-             tol: float = 1e-13) -> float:
+def pressure(spec: SubshiftSpec, phi: Potential, block: int | None = None) -> float:
     """Topological pressure: log of the Perron eigenvalue of the transfer matrix.
 
     The value is independent of the recoding block as long as
     ``block >= phi.memory``.
     """
-    rpf = rpf_solve(recoded_transfer_matrix(spec, phi, block), tol=tol)
+    rpf = rpf_solve(recoded_transfer_matrix(spec, phi, block))
     return math.log(rpf.eigenvalue)
 
 
@@ -372,11 +369,10 @@ def gibbs_measure(rpf: RPFData, M: WeightedMatrix) -> MarkovMeasure:
     return _markov_measure(M.chain, M.matrix, rpf.eigenvalue, rpf.right, rpf.left)
 
 
-def equilibrium_measure(spec: SubshiftSpec, phi: Potential, block: int | None = None,
-                        tol: float = 1e-13) -> MarkovMeasure:
+def equilibrium_measure(spec: SubshiftSpec, phi: Potential, block: int | None = None) -> MarkovMeasure:
     """Convenience: recode, weight, solve and assemble the Gibbs measure."""
     M = recoded_transfer_matrix(spec, phi, block)
-    return gibbs_measure(rpf_solve(M, tol=tol), M)
+    return gibbs_measure(rpf_solve(M), M)
 
 
 @dataclass(eq=False)
@@ -398,11 +394,11 @@ class TiltFamily:
     tol: float = 1e-13
 
     @classmethod
-    def of(cls, spec: SubshiftSpec, base: Potential, obs: Potential, tol: float = 1e-13) -> "TiltFamily":
+    def of(cls, spec: SubshiftSpec, base: Potential, obs: Potential) -> "TiltFamily":
         """The family of ``base + t * obs`` on the chain recoded at their memory."""
         chain = recode(spec, max(base.memory, obs.memory))
         return cls(chain, chain.adjacency.astype(np.float64), phi_vector(chain, base),
-                   phi_vector(chain, obs), tol)
+                   phi_vector(chain, obs))
 
     @property
     def t_limit(self) -> float:
@@ -494,13 +490,12 @@ def variational_gap(spec: SubshiftSpec, pot: Potential, mu: MarkovMeasure) -> fl
     return pressure(spec, pot) - integrate(mu, pot) - entropy(mu)
 
 
-def random_markov_measure(chain: RecodedChain, rng: np.random.Generator,
-                          concentration: float = 1.0) -> MarkovMeasure:
+def random_markov_measure(chain: RecodedChain, rng: np.random.Generator) -> MarkovMeasure:
     """Random fully supported Markov measure on the chain (Dirichlet rows)."""
     succ, degree = chain.successor_table
     P = np.zeros((chain.num_states, chain.num_states))
     for i, d in enumerate(degree):
-        P[i, succ[i, :d]] = rng.dirichlet(np.full(d, concentration))
+        P[i, succ[i, :d]] = rng.dirichlet(np.ones(d))
     return MarkovMeasure(chain, P, stationary_distribution(P))
 
 

@@ -3,6 +3,9 @@
 # Run from anywhere; paths inside the outputs stay repository-relative.
 set -e
 cd "$(dirname "$0")/../.."
+# Run the package in this working tree, not an installed copy.
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+export PYTHONPATH
 
 python3 -m ldplab pressure --spec specs/fs2.json --potential zero \
     --out tests/golden/pressure_fs2.jsonl

@@ -262,6 +262,21 @@ def test_budget_env_override(monkeypatch, capsys):
     assert json.loads(err.strip())["error"] == "BudgetExceeded"
 
 
+def test_seed_and_budget_only_where_read(capsys):
+    code, _, err = run_capture(GOLDEN_COMMANDS["pressure_fs2.jsonl"] + ["--seed", "1"], capsys)
+    assert code == 2 and "--seed" in err
+    code, _, err = run_capture(GOLDEN_COMMANDS["qcurve_gm.csv"] + ["--budget", "10"], capsys)
+    assert code == 2 and "--budget" in err
+
+
+def test_header_nulls_options_the_command_lacks(monkeypatch, capsys):
+    monkeypatch.setenv("LDPLAB_BUDGET", "10")
+    code, out, _ = run_capture(GOLDEN_COMMANDS["pressure_fs2.jsonl"], capsys)
+    assert code == 0
+    header = json.loads(out.splitlines()[0])
+    assert header["seed"] is None and header["budget"] is None
+
+
 def test_budget_flag_beats_env(monkeypatch, capsys):
     monkeypatch.setenv("LDPLAB_BUDGET", "10")
     code, out, _ = run_capture(

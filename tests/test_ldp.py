@@ -36,6 +36,7 @@ from ldplab import (
     recommended_tilt,
     validate_spec,
 )
+from ldplab import ldp
 from ldplab.ldp import _detect_lattice
 
 from conftest import GOLDEN_RATIO, bernoulli_potential, golden_lambda, golden_rate
@@ -417,6 +418,20 @@ def test_deviation_enumeration_matches_dp(fs2, gm):
                 en = deviation_mass_exact(mu, ind1, iv, n, mode="enumerate")
                 assert dp.mass == pytest.approx(en.mass, rel=1e-12, abs=1e-15)
                 assert dp.mass_low == dp.mass_high  # lattice case is exact
+                assert dp.method == "dp-lattice"
+
+
+def test_deviation_detects_lattice_once(fs2, monkeypatch):
+    calls = []
+
+    def counting(values):
+        calls.append(1)
+        return _detect_lattice(values)
+
+    monkeypatch.setattr(ldp, "_detect_lattice", counting)
+    mu = leaf_measure(fs2, Potential.zero(fs2), (0,))
+    p = deviation_mass_exact(mu, Potential.indicator(fs2, 1), Interval(0.7, 1.0), 40)
+    assert p.method == "dp-lattice" and len(calls) == 1
 
 
 def test_deviation_memory_two_observable(gm):

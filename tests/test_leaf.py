@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +266,17 @@ def test_sampler_deterministic_and_index_consistent(uniform_leaf):
     batch = sample_paths(uniform_leaf, 4, CHUNK_ROWS + 2, seed=123)
     for i in (CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1):
         assert sample_path(uniform_leaf, 4, seed=123, index=i) == tuple(batch[i])
+
+
+def test_sample_path_draws_only_its_own_row(parry_leaf0):
+    # Drawing the rows before the index would take ~104 MB of uniforms here.
+    tracemalloc.start()
+    try:
+        sample_path(parry_leaf0, 200, index=CHUNK_ROWS - 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_sampler_respects_support(gm):

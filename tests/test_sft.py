@@ -123,6 +123,23 @@ def test_shift_coordinate_bookkeeping(fs2):
         assert y.symbol_at(i) == x.symbol_at(i + 1)
 
 
+def test_shift_far_past_transients_and_cycles(fs2, gm):
+    rng = np.random.default_rng(5)
+    for spec in (fs2, gm, fs2, gm):
+        x = _random_point(spec, rng, 0)
+        y = _random_point(spec, rng, 0)
+        for s in (-10 ** 4, -997, -13, 13, 997, 10 ** 4):
+            z = shift(x, s)
+            for i in range(-9, 10):
+                assert z.symbol_at(i) == x.symbol_at(i + s)
+            assert shift(z, -s) == x
+            # The bracket of shifted points still splices past and future.
+            if z.symbol_at(0) == shift(y, s).symbol_at(0):
+                w = bracket(z, shift(y, s))
+                for i in range(-9, 10):
+                    assert w.symbol_at(i) == (y if i < 0 else x).symbol_at(i + s)
+
+
 def test_point_rejects_forbidden_junction(gm):
     with pytest.raises(ValidationError):
         PointRep(gm, left_cycle=(1,), core=(1,), right_cycle=(0,))
