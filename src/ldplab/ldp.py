@@ -60,34 +60,27 @@ def q_derivative(spec: SubshiftSpec, base: Potential, obs: Potential, t: float) 
 # Ergodic range (min/max mean cycle)
 
 
-def _min_mean_cycle(adj: np.ndarray, weights: np.ndarray) -> float:
-    """Minimum mean cycle with per-edge weight taken from the source node.
-
-    Karp's algorithm on a strongly connected graph: with ``D_k(v)`` the
-    minimum weight of a k-edge walk from a fixed source to ``v``, the answer
-    is ``min_v max_k (D_n(v) - D_k(v)) / (n - k)``.
-    """
-    n = adj.shape[0]
+def _min_mean_cycle(src: np.ndarray, dst: np.ndarray, weights: np.ndarray) -> float:
+    """Minimum mean cycle of a strongly connected edge list, weights on the
+    source node: Karp's ``min_v max_k (D_n(v) - D_k(v)) / (n - k)`` with
+    ``D_k(v)`` the least weight of a k-edge walk from node 0 to ``v``, in
+    O(n * edges) time."""
+    n = len(weights)
     D = np.full((n + 1, n), np.inf)
     D[0, 0] = 0.0
+    edge_w = weights[src]
     for k in range(n):
-        cand = np.where(adj, D[k][:, None] + weights[:, None], np.inf)
-        D[k + 1] = cand.min(axis=0)
-    best = np.inf
-    for v in range(n):
-        if not np.isfinite(D[n, v]):
-            continue
-        worst = -np.inf
-        for k in range(n):
-            if np.isfinite(D[k, v]):
-                worst = max(worst, (D[n, v] - D[k, v]) / (n - k))
-        best = min(best, worst)
-    return float(best)
+        np.minimum.at(D[k + 1], dst, D[k, src] + edge_w)
+    # Nodes that n-edge walks reach; a D_k(v) = inf there gives -inf.
+    D = D[:, np.isfinite(D[n])]
+    return float(((D[n] - D[:n]) / (n - np.arange(n))[:, None]).max(axis=0).min())
 
 
 def _cycle_range(chain: RecodedChain, w: np.ndarray) -> tuple[float, float]:
-    adj = chain.adjacency.astype(bool)
-    return _min_mean_cycle(adj, w), float(-_min_mean_cycle(adj, -w))
+    succ, degree = chain.successor_table
+    src = np.repeat(np.arange(chain.num_states), degree)
+    dst = succ[np.arange(succ.shape[1]) < degree[:, None]]
+    return _min_mean_cycle(src, dst, w), float(-_min_mean_cycle(src, dst, -w))
 
 
 def ergodic_range(spec: SubshiftSpec, obs: Potential) -> tuple[float, float]:

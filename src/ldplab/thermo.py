@@ -138,13 +138,12 @@ class RPFData:
     """Perron eigendata of a primitive non-negative matrix.
 
     ``right`` and ``left`` are entrywise positive with ``sum(left) == 1``
-    and ``left @ right == 1``; ``residual`` is the achieved relative
-    eigen-equation defect.  ``lower <= eigenvalue <= upper`` is the
-    Collatz-Wielandt bracket of the returned vectors, widened by the
+    and ``left @ right == 1``; ``residual`` is the larger of their defects
+    ``max |Mx - lam x| / (lam max x)``.  ``lower <= eigenvalue <= upper``
+    is the Collatz-Wielandt bracket of the returned vectors, widened by the
     rounding error of its evaluation, so it certifies the Perron root of
     the matrix as stored unless products in ``M @ right`` or ``left @ M``
-    underflow; ``upper`` is ``inf`` if both vectors have underflowed
-    entries.
+    underflow; ``upper`` is ``inf`` if both vectors have underflowed entries.
     """
 
     eigenvalue: float
@@ -193,6 +192,12 @@ def _collatz_wielandt(h: np.ndarray, v: np.ndarray, mh: np.ndarray,
     return max(lo_h, lo_v), min(hi_h, hi_v)
 
 
+def _residual(lam: float, h: np.ndarray, v: np.ndarray, mh: np.ndarray, vm: np.ndarray) -> float:
+    """``max(|Mh - lam h| / (lam max h), |vM - lam v| / (lam max v))``, sup norms."""
+    return max(float(np.max(np.abs(mh - lam * h))) / (lam * float(np.max(h))),
+               float(np.max(np.abs(vm - lam * v))) / (lam * float(np.max(v))))
+
+
 def _power_stalls(history: deque[float], tol: float, n: int) -> bool:
     """Whether the residual contraction over the last ``_WINDOW`` power steps
     predicts more remaining steps than the inverse phase would cost."""
@@ -229,7 +234,7 @@ def _inverse_step(matrix: np.ndarray, x: np.ndarray, shift: float, work: np.ndar
     return y
 
 
-def _perron(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.ndarray, np.ndarray, float, int]:
+def _perron(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.ndarray, np.ndarray, int]:
     """Perron eigendata of a primitive matrix and its transpose.
 
     Starts with power iteration and renormalization; the eigenvalue estimate
@@ -261,11 +266,9 @@ def _perron(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.nd
         lam = float(v @ mh) / float(v @ h)
         if lam <= 0 or not math.isfinite(lam):
             raise NoConvergence(f"degenerate eigenvalue estimate {lam}")
-        res_h = float(np.max(np.abs(mh - lam * h))) / (lam * float(np.max(h)))
-        res_v = float(np.max(np.abs(vm - lam * v))) / (lam * float(np.max(v)))
-        res = max(res_h, res_v)
+        res = _residual(lam, h, v, mh, vm)
         if res <= tol:
-            return lam, h, v, res, it
+            return lam, h, v, it
         if work is None:
             history.append(res)
             if not _power_stalls(history, tol, n):
@@ -278,7 +281,7 @@ def _perron(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.nd
         lo, hi = _collatz_wielandt(h, v, mh, vm)
         width = (hi - lo) / lo
         if width <= tol:
-            return lam, h, v, res, it
+            return lam, h, v, it
         # From a poor vector the shift starts far above lam; the bracket
         # then narrows step by step while the residual stays near 1.
         if res < best_res or width < best_width:
@@ -296,12 +299,12 @@ def _perron(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.nd
 def rpf_solve(M: WeightedMatrix, tol: float = 1e-13, max_iter: int = 10 ** 6) -> RPFData:
     """Perron eigenvalue and positive left/right eigenvectors of a transfer matrix."""
     M.chain.primitivity_power()  # raises NotPrimitive on hand-built chains
-    lam, h, v, _, it = _perron(M.matrix, tol, max_iter)
+    lam, h, v, it = _perron(M.matrix, tol, max_iter)
     v = v / v.sum()
     h = h / float(v @ h)
     mh = M.matrix @ h
     vm = v @ M.matrix
-    res = max(float(np.max(np.abs(mh - lam * h))), float(np.max(np.abs(vm - lam * v)))) / lam
+    res = _residual(lam, h, v, mh, vm)
     # Each ratio is a sum of at most n non-negative products and a division.
     lo, hi = _collatz_wielandt(h, v, mh, vm)
     slack = (len(h) + 2) * float(np.finfo(np.float64).eps)
@@ -342,31 +345,21 @@ def _polish_stationary(pi: np.ndarray, P: np.ndarray, rounds: int = 64) -> np.nd
     return pi
 
 
-def _markov_measure(chain: RecodedChain, W: np.ndarray, lam: float, h: np.ndarray,
-                    v: np.ndarray) -> MarkovMeasure:
-    """``P[w, w'] = W[w, w'] h[w'] / (lam h[w])`` with stationary vector
-    ``v * h``, from Perron eigendata ``(lam, h, v)`` of ``W``.
-
-    Raises :class:`NoConvergence` when entries of ``h`` have underflowed so
-    far that the chain comes out NaN.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        P = W * h[None, :] / (lam * h[:, None])
-        P = P / P.sum(axis=1, keepdims=True)
-        pi = _polish_stationary(v * h, P)
-    if not (np.isfinite(P).all() and np.isfinite(pi).all()):
-        raise NoConvergence("Perron vector entries underflow, so the Markov chain is undefined")
-    return MarkovMeasure(chain, P, pi)
-
-
 def gibbs_measure(rpf: RPFData, M: WeightedMatrix) -> MarkovMeasure:
     """The equilibrium Markov measure built from Perron eigendata.
 
     ``P[w, w'] = M[w, w'] h[w'] / (lam h[w])`` with stationary vector
     ``pi = left * right``; this measure maximizes entropy plus the integral
-    of the potential.
+    of the potential.  Raises :class:`NoConvergence` when entries of ``h``
+    have underflowed so far that the chain comes out NaN.
     """
-    return _markov_measure(M.chain, M.matrix, rpf.eigenvalue, rpf.right, rpf.left)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        P = M.matrix * rpf.right[None, :] / (rpf.eigenvalue * rpf.right[:, None])
+        P = P / P.sum(axis=1, keepdims=True)
+        pi = _polish_stationary(rpf.left * rpf.right, P)
+    if not (np.isfinite(P).all() and np.isfinite(pi).all()):
+        raise NoConvergence("Perron vector entries underflow, so the Markov chain is undefined")
+    return MarkovMeasure(M.chain, P, pi)
 
 
 def equilibrium_measure(spec: SubshiftSpec, phi: Potential, block: int | None = None) -> MarkovMeasure:
@@ -380,11 +373,12 @@ class TiltFamily:
     """Perron eigendata of ``W(t) = matrix * exp(gvec + t * pvec)``, weights
     on the source state, as ``t`` varies.
 
-    ``q(t) = log lam(t) - log lam(0)`` is convex with ``q'(t)`` the mean of
-    ``pvec`` under the Markov measure of ``W(t)``.  :meth:`of` builds the
-    family of the potential ``base + t * obs``, whose ``q`` is the scaled
-    cumulant of ``obs``; a stochastic ``matrix`` with ``gvec = 0`` gives the
-    exponential tilts of that chain.
+    All values come from :meth:`rpf`.  ``q(t) = log lam(t) - log lam(0)`` is
+    convex with ``q'(t)`` the mean of ``pvec`` under the stationary vector
+    ``left * right`` of ``W(t)``'s Markov measure.  :meth:`of` builds the
+    family of ``base + t * obs``, whose ``q`` is the scaled cumulant of
+    ``obs``; a stochastic ``matrix`` with ``gvec = 0`` gives the exponential
+    tilts of that chain.
     """
 
     chain: RecodedChain
@@ -409,26 +403,29 @@ class TiltFamily:
 
     @cached_property
     def base_log(self) -> float:
-        return self._log_eig(0.0)
+        return math.log(self.rpf(0.0).eigenvalue)
 
-    def _weighted(self, t: float) -> np.ndarray:
-        return self.matrix * np.exp(self.gvec + t * self.pvec)[:, None]
+    def _weighted(self, t: float) -> WeightedMatrix:
+        return WeightedMatrix(self.chain, self.matrix * np.exp(self.gvec + t * self.pvec)[:, None])
 
-    def _log_eig(self, t: float) -> float:
-        lam, _, _, _, _ = _perron(self._weighted(t), self.tol, 10 ** 6)
-        return math.log(lam)
+    def rpf(self, t: float) -> RPFData:
+        """Perron eigendata of ``W(t)`` from :func:`rpf_solve`."""
+        return rpf_solve(self._weighted(t), self.tol)
 
     def q(self, t: float) -> float:
-        return self._log_eig(t) - self.base_log
+        return math.log(self.rpf(t).eigenvalue) - self.base_log
 
     def measure(self, t: float) -> MarkovMeasure:
-        W = self._weighted(t)
-        lam, h, v, _, _ = _perron(W, self.tol, 10 ** 6)
-        return _markov_measure(self.chain, W, lam, h, v)
+        M = self._weighted(t)
+        return gibbs_measure(rpf_solve(M, self.tol), M)
 
     def q_prime(self, t: float) -> float:
-        """Exact pressure derivative: the observable mean under the tilt."""
-        return float(self.measure(t).stationary @ self.pvec)
+        """Exact pressure derivative ``left @ (right * pvec)``; raises
+        :class:`NoConvergence` if a Perron vector entry underflowed to 0."""
+        rpf = self.rpf(t)
+        if not (np.all(rpf.right > 0) and np.all(rpf.left > 0)):
+            raise NoConvergence("Perron vector entries underflow, so the tilted mean is undefined")
+        return float(rpf.left @ (rpf.right * self.pvec))
 
     def solve_mean(self, alpha: float, tol: float = 1e-10) -> tuple[float, bool]:
         """Bisection for ``q'(t) == alpha``; second value marks a capped bracket.

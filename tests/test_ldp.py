@@ -16,6 +16,7 @@ from ldplab import (
     MarkovMeasure,
     NoConvergence,
     Potential,
+    RPFData,
     TiltFamily,
     contraction_check,
     deviation_mass_exact,
@@ -147,6 +148,24 @@ def _brute_cycle_means(spec, phi):
     return min(means), max(means)
 
 
+def _dense_karp_range(spec, phi):
+    """Reference: Karp over the dense adjacency, one loop per node and length."""
+    chain = recode(spec, phi.memory)
+    adj = chain.adjacency.astype(bool)
+    n = chain.num_states
+
+    def min_mean(w):
+        D = np.full((n + 1, n), np.inf)
+        D[0, 0] = 0.0
+        for k in range(n):
+            D[k + 1] = np.where(adj, D[k][:, None] + w[:, None], np.inf).min(axis=0)
+        return min(max((D[n, v] - D[k, v]) / (n - k) for k in range(n) if np.isfinite(D[k, v]))
+                   for v in range(n) if np.isfinite(D[n, v]))
+
+    w = np.array([phi.value(s) for s in chain.states])
+    return float(min_mean(w)), float(-min_mean(-w))
+
+
 def test_ergodic_range_examples(fs2, gm):
     assert ergodic_range(fs2, Potential.indicator(fs2, 1)) == (0.0, 1.0)
     lo, hi = ergodic_range(gm, Potential.indicator(gm, 1))
@@ -165,6 +184,22 @@ def test_ergodic_range_matches_cycle_enumeration(fs2, gm):
             blo, bhi = _brute_cycle_means(spec, phi)
             assert lo == pytest.approx(blo, abs=1e-12)
             assert hi == pytest.approx(bhi, abs=1e-12)
+    words = [w for w in itertools.product((0, 1), repeat=3) if (1, 1) not in (w[:2], w[1:])]
+    phi = Potential(3, {w: float(v) for w, v in zip(words, rng.normal(size=len(words)))})
+    assert ergodic_range(gm, phi) == pytest.approx(_brute_cycle_means(gm, phi), abs=1e-12)
+
+
+def test_ergodic_range_is_bit_identical_to_dense_karp():
+    """Edge-list Karp does the same additions and minima as the dense one."""
+    rng = np.random.default_rng(11)
+    A = [[1, 1, 0, 1], [1, 0, 1, 0], [0, 1, 1, 1], [1, 0, 1, 0]]
+    spec = validate_spec(A)
+    for memory in (1, 2, 3):
+        words = [w for w in itertools.product(range(4), repeat=memory)
+                 if all(A[a][b] for a, b in zip(w, w[1:]))]
+        for vals in (rng.normal(size=len(words)), rng.integers(-3, 4, size=len(words))):
+            phi = Potential(memory, {w: float(v) for w, v in zip(words, vals)})
+            assert ergodic_range(spec, phi) == _dense_karp_range(spec, phi)
 
 
 def test_ergodic_range_memory_two(gm):
@@ -172,6 +207,21 @@ def test_ergodic_range_memory_two(gm):
     lo, hi = ergodic_range(gm, phi)
     blo, bhi = _brute_cycle_means(gm, phi)
     assert (lo, hi) == pytest.approx((blo, bhi), abs=1e-12)
+
+
+def test_ergodic_range_full_shift_memory_three():
+    """Karp over the successor table: 1,728 states and 20,736 edges.  Every
+    constant word is a fixed point, so the range of f(w[0]) is its min/max."""
+    m = 12
+    spec = validate_spec([[1] * m] * m)
+    f = np.random.default_rng(7).normal(size=m)
+    phi = Potential(3, {w: float(f[w[0]]) for w in itertools.product(range(m), repeat=3)})
+    start = time.perf_counter()
+    lo, hi = ergodic_range(spec, phi)
+    elapsed = time.perf_counter() - start
+    assert lo == pytest.approx(f.min(), rel=1e-12)
+    assert hi == pytest.approx(f.max(), rel=1e-12)
+    assert elapsed < 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +293,9 @@ def test_tilt_family_raises_when_perron_vector_underflows(fs3_underflow):
 
 
 def test_rate_at_range_end_caps_bracket_before_underflowing_tilt():
-    """At alpha = min phi the bracket grows until the tilted chain cannot be
-    computed (t = -200 here); it is capped there, and the rate is the
+    """At alpha = min phi the bracket grows to the tilt cap t = -200.  The
+    assembled chain underflows there, but the Perron vectors stay positive
+    (smallest entry ~4e-174), so q' is defined.  The rate is the
     zero-temperature limit, the entropy of the shift (the minimum sits on a
     fixed point with zero entropy)."""
     A = [[0, 0, 0, 1], [0, 0, 1, 1], [1, 0, 1, 1], [1, 1, 0, 0]]
@@ -253,8 +304,37 @@ def test_rate_at_range_end_caps_bracket_before_underflowing_tilt():
     curve = rate_curve(spec, Potential.zero(spec), phi, [0.0])
     entropy_A = math.log(max(abs(np.linalg.eigvals(np.array(A, dtype=float)))))
     assert curve.boundary == (True,)
-    assert curve.tilts == (-128.0,)
+    assert curve.tilts == (-200.0,)
+    assert curve.values[0] == 0.6493991957832604
     assert curve.values[0] == pytest.approx(entropy_A, rel=1e-12)
+
+
+def test_rate_bracket_stops_where_perron_vector_underflows(fs2):
+    """At alpha = min phi the bracket grows until a Perron vector itself
+    underflows (q' raises at t = -128); it stops at t = -64, and the rate is
+    the zero-temperature limit P(G) - G(11) = log rho(W_G) + 30."""
+    G = Potential(2, dict(zip(itertools.product((0, 1), repeat=2), (-10.0, -38.0, -47.0, -30.0))))
+    phi = Potential(1, {(0,): 3.0, (1,): 0.0})
+    fam = TiltFamily.of(fs2, G, phi)
+    with pytest.raises(NoConvergence):
+        fam.q_prime(-128.0)
+    curve = rate_curve(fs2, G, phi, [0.0])
+    assert curve.boundary == (True,)
+    assert curve.tilts == (-64.0,)
+    assert curve.values[0] == pytest.approx(math.log(fam.rpf(0.0).eigenvalue) + 30.0, rel=1e-12)
+    assert curve.values[0] == pytest.approx(20.0, rel=1e-12)
+
+
+def test_golden_q_prime_matches_closed_form(gm):
+    """q'(t) = lam'(t) / lam(t) = e^t / (lam (2 lam - 1)), from lam^2 = lam + e^t;
+    the family's eigendata carries a bracket of lam."""
+    fam = TiltFamily.of(gm, Potential.zero(gm), Potential.indicator(gm, 1))
+    for t in (-2.0, -1.0, 0.0, 1.0, 2.0, 5.0, 10.0, 40.0):
+        lam = golden_lambda(t)
+        assert fam.q_prime(t) == pytest.approx(math.exp(t) / (lam * (2 * lam - 1)), rel=1e-12)
+        rpf = fam.rpf(t)
+        assert isinstance(rpf, RPFData)
+        assert rpf.lower <= lam <= rpf.upper
 
 
 def test_duality_double_transform_recovers_q(fs2, gm):

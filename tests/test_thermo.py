@@ -150,25 +150,32 @@ def test_rpf_normalized_bernoulli(fs2):
         assert rpf.eigenvalue == pytest.approx(1.0, abs=1e-12)
 
 
+def _golden_tilt(gm, t):
+    return transfer_matrix(recode(gm, 1), Potential(1, {(0,): 0.0, (1,): float(t)}))
+
+
 def test_rpf_residual_invariants(gm):
-    M = transfer_matrix(recode(gm, 2), Potential(1, {(0,): 0.2, (1,): -0.4}))
-    rpf = rpf_solve(M)
-    lam, h, v = rpf.eigenvalue, rpf.right, rpf.left
-    assert (h > 0).all() and (v > 0).all()
-    assert v.sum() == pytest.approx(1.0, abs=1e-12)
-    assert float(v @ h) == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(M.matrix @ h - lam * h)) <= max(rpf.residual, 1e-15) * lam * 1.01
-    assert rpf.residual <= 1e-11
+    """``residual`` is the defect relative to ``lam * max(vector)``; at
+    golden t = 200, ``right`` spans 43 orders of magnitude and the defect
+    divided by ``lam`` alone read 1.1e29."""
+    cases = [transfer_matrix(recode(gm, 2), Potential(1, {(0,): 0.2, (1,): -0.4}))]
+    cases += [_golden_tilt(gm, t) for t in (40, 200)]
+    for M in cases:
+        rpf = rpf_solve(M)
+        lam, h, v = rpf.eigenvalue, rpf.right, rpf.left
+        assert (h > 0).all() and (v > 0).all()
+        assert v.sum() == pytest.approx(1.0, abs=1e-12)
+        assert float(v @ h) == pytest.approx(1.0, abs=1e-12)
+        bound = max(rpf.residual, 1e-15) * lam * 1.01
+        assert np.max(np.abs(M.matrix @ h - lam * h)) <= bound * np.max(h)
+        assert np.max(np.abs(v @ M.matrix - lam * v)) <= bound * np.max(v)
+        assert rpf.residual <= 1e-12
 
 
 def test_rpf_no_convergence_with_tiny_iteration_cap(gm):
     M = transfer_matrix(recode(gm, 1), Potential.zero(gm))
     with pytest.raises(NoConvergence):
         rpf_solve(M, tol=1e-13, max_iter=2)
-
-
-def _golden_tilt(gm, t):
-    return transfer_matrix(recode(gm, 1), Potential(1, {(0,): 0.0, (1,): float(t)}))
 
 
 def test_rpf_bracket_contains_closed_form(fs2, gm):
