@@ -85,7 +85,6 @@ from .ldp import (
     Interval,
     RateCurve,
     RateFit,
-    RatePoint,
     contraction_check,
     deviation_mass_exact,
     deviation_mass_mc,

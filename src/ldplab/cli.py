@@ -21,20 +21,12 @@ import numpy as np
 
 from . import __version__
 from .errors import IncompleteTable, LdplabError, ParseError, ValidationError
-from .ldp import (
-    Interval,
-    deviation_mass_exact,
-    deviation_mass_mc,
-    rate_curve,
-    rate_fit,
-    recommended_tilt,
-    DeviationPoint,
-)
+from .ldp import (DeviationPoint, Interval, deviation_mass_exact, deviation_mass_mc,
+                  growth_estimate, rate_curve, rate_fit, recommended_tilt)
 from .leaf import gibbs_ratio_audit, leaf_measure
 from .sft import Potential, SubshiftSpec, Word, axioms_check, validate_spec
 from .thermo import (TiltFamily, entropy, equilibrium_measure, gibbs_measure, pressure,
                      recoded_transfer_matrix, rpf_solve)
-from .ldp import growth_estimate
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ brackets for off-lattice observables, or by tilted Monte Carlo.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,25 +19,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    DegenerateFit,
-    EmptyInterval,
-    IncompatibleSupport,
-)
+from .errors import BudgetExceeded, DegenerateFit, EmptyInterval, IncompatibleSupport
 from .leaf import LeafMeasure, expand_word_tree, leaf_word_counts, markov_walks
 from .sft import Potential, SubshiftSpec
-from .thermo import (
-    MarkovMeasure,
-    RecodedChain,
-    TiltFamily,
-    entropy,
-    integrate,
-    phi_vector,
-    pressure,
-    random_markov_measure,
-    recode,
-)
+from .thermo import (MarkovMeasure, RecodedChain, TiltFamily, entropy, integrate, phi_vector,
+                     pressure, random_markov_measure, recode)
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -98,14 +85,6 @@ def ergodic_range(spec: SubshiftSpec, obs: Potential) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class RatePoint:
-    alpha: float
-    value: float
-    tilt: float | None
-    boundary: bool
-
-
-@dataclass(frozen=True)
 class RateCurve:
     """Samples of the scalar rate function on a grid of target averages."""
 
@@ -116,15 +95,17 @@ class RateCurve:
     alpha_range: tuple[float, float]
 
 
-def _rate_point(fam: TiltFamily, alpha_range: tuple[float, float], alpha: float) -> RatePoint:
+def _rate_point(fam: TiltFamily, alpha_range: tuple[float, float],
+                alpha: float) -> tuple[float, float | None, bool]:
+    """``(value, tilt, boundary)`` of the rate at ``alpha``."""
     amin, amax = alpha_range
     if alpha < amin or alpha > amax:
-        return RatePoint(alpha, math.inf, None, True)
+        return math.inf, None, True
     if amax - amin <= 1e-13:
-        return RatePoint(alpha, 0.0, 0.0, True)
+        return 0.0, 0.0, True
     t, capped = fam.solve_mean(alpha)
     value = t * alpha - fam.q(t)
-    return RatePoint(alpha, max(value, 0.0), t, capped or alpha in (amin, amax))
+    return max(value, 0.0), t, capped or alpha in (amin, amax)
 
 
 def rate_scalar(spec: SubshiftSpec, base: Potential, obs: Potential, alpha: float) -> float:
@@ -141,14 +122,10 @@ def rate_curve(spec: SubshiftSpec, base: Potential, obs: Potential,
                alphas: Sequence[float]) -> RateCurve:
     fam = TiltFamily.of(spec, base, obs)
     alpha_range = _cycle_range(fam.chain, fam.pvec)
-    pts = [_rate_point(fam, alpha_range, float(a)) for a in alphas]
-    return RateCurve(
-        alphas=tuple(p.alpha for p in pts),
-        values=tuple(p.value for p in pts),
-        tilts=tuple(p.tilt for p in pts),
-        boundary=tuple(p.boundary for p in pts),
-        alpha_range=alpha_range,
-    )
+    alphas = tuple(float(a) for a in alphas)
+    pts = [_rate_point(fam, alpha_range, a) for a in alphas]
+    return RateCurve(alphas, tuple(p[0] for p in pts), tuple(p[1] for p in pts),
+                     tuple(p[2] for p in pts), alpha_range)
 
 
 def _check_support(spec: SubshiftSpec, nu: MarkovMeasure) -> None:
@@ -319,25 +296,28 @@ def _log_or_neg_inf(mass: float) -> float:
     return math.log(mass) if mass > 0 else -math.inf
 
 
-def _interval_meets(interval: Interval, lo_val: float, hi_val: float) -> bool:
-    """Range [lo_val, hi_val] possibly intersects the interval."""
-    lo_ok = hi_val >= interval.lo if interval.closed_lo else hi_val > interval.lo
-    hi_ok = lo_val <= interval.hi if interval.closed_hi else lo_val < interval.hi
-    return lo_ok and hi_ok
+def _rank(interval: Interval, x: float) -> int:
+    """0 if ``x`` lies below the (non-empty) interval, 1 inside, 2 above."""
+    return 1 if interval.contains(x) else 2 * (x > interval.lo)
 
 
-def _detect_lattice(values: np.ndarray, max_denominator: int = 10 ** 6,
-                    tol: float = 1e-13):
+#: Lattice detection tries rationals up to this denominator, and accepts one
+#: that reproduces its float to this relative tolerance.
+_LATTICE_DENOMINATOR = 10 ** 6
+_LATTICE_TOL = 1e-13
+
+
+def _detect_lattice(values: np.ndarray):
     """Exact rational-lattice reconstruction of a value table.
 
     Returns ``(offset, gap, z)`` with ``values[i] == offset + gap * z[i]``
     exactly (as rationals reproducing the floats), or None when the values
-    do not sit on a common lattice with denominator <= max_denominator.
+    do not sit on a common lattice with denominator <= _LATTICE_DENOMINATOR.
     """
     fracs = []
     for v in values:
-        f = Fraction(float(v)).limit_denominator(max_denominator)
-        if abs(float(f) - float(v)) > tol * max(1.0, abs(float(v))):
+        f = Fraction(float(v)).limit_denominator(_LATTICE_DENOMINATOR)
+        if abs(float(f) - float(v)) > _LATTICE_TOL * max(1.0, abs(float(v))):
             return None
         fracs.append(f)
     base = min(fracs)
@@ -352,6 +332,32 @@ def _detect_lattice(values: np.ndarray, max_denominator: int = 10 ** 6,
             g.denominator * d.denominator,
         )
     return base, g, [int(d / g) for d in diffs]
+
+
+def _lattice_inside(interval: Interval, lattice, n: int) -> tuple[int, int]:
+    """Lattice sums ``zlo .. zhi`` whose average ``offset + gap * Z / n`` the
+    interval contains, by the rule every method shares: the exact average,
+    correctly rounded to a double, against the double endpoints (which is
+    what decimal bounds on a command line denote).  The rounded average does
+    not decrease with ``Z``, so bisection over ``0 .. n * max z`` finds them.
+    """
+    offset, gap, z = lattice
+
+    def rank(Z: int) -> int:
+        return _rank(interval, float(offset + gap * Fraction(Z, n)))
+
+    sums = range(n * max(z) + 1)
+    return bisect.bisect_left(sums, 1, key=rank), bisect.bisect_left(sums, 2, key=rank) - 1
+
+
+def _walk_sums(pvec: np.ndarray, lattice, interval: Interval, n: int):
+    """``(values, inside)``: what ``n``-step walks accumulate, and the
+    membership of the accumulated sums.  Lattice tables accumulate integer
+    ``z`` (when every sum fits in int64) under :func:`_lattice_inside`."""
+    if lattice is None or n * max(lattice[2]) >= np.iinfo(np.int64).max:
+        return pvec, lambda sums: interval.contains_array(sums / n)
+    zlo, zhi = _lattice_inside(interval, lattice, n)
+    return np.asarray(lattice[2], dtype=np.int64), lambda sums: (sums >= zlo) & (sums <= zhi)
 
 
 def _lattice_masses(mu: LeafMeasure, z: Sequence[int], n: int) -> np.ndarray:
@@ -396,23 +402,21 @@ def _dp_point(mu: LeafMeasure, pvec: np.ndarray, lattice, interval: Interval, n:
         raise BudgetExceeded(f"lattice dynamic program needs {cells} cells, budget {budget:.3g}")
 
     masses = _lattice_masses(mu, z, n)
-    # Membership convention shared by all methods: the exact average,
-    # correctly rounded to a double, is compared against the double
-    # endpoints (which is what decimal bounds on a command line denote).
+    zlo, zhi = _lattice_inside(interval, (offset, gap, z), n)
     avg_slack = slack / n
     low = 0.0
     high = 0.0
     for Z, m in enumerate(masses):
         if m == 0.0:
             continue
-        avg = offset + gap * Fraction(Z, n)
         if slack == 0:
-            if interval.contains(float(avg)):
+            if zlo <= Z <= zhi:
                 low += float(m)
                 high += float(m)
             continue
+        avg = offset + gap * Fraction(Z, n)
         lo_val, hi_val = float(avg - avg_slack), float(avg + avg_slack)
-        if _interval_meets(interval, lo_val, hi_val):
+        if _rank(interval, hi_val) > 0 and _rank(interval, lo_val) < 2:  # the range meets it
             high += float(m)
             if interval.contains(lo_val) and interval.contains(hi_val):
                 low += float(m)
@@ -424,17 +428,19 @@ def _dp_point(mu: LeafMeasure, pvec: np.ndarray, lattice, interval: Interval, n:
     )
 
 
-def _enum_point(mu: LeafMeasure, pvec: np.ndarray, interval: Interval, n: int) -> DeviationPoint:
+def _enum_point(mu: LeafMeasure, pvec: np.ndarray, lattice, interval: Interval,
+                n: int) -> DeviationPoint:
     chain = mu.chain
     K = chain.block
+    vals, member = _walk_sums(pvec, lattice, interval, n)
     state = np.array([mu.start_index], dtype=np.int64)
     logmass = np.zeros(1)
-    birk = np.zeros(1)
+    birk = np.zeros(1, dtype=vals.dtype)
     for j in range(1, n + K):
         par, new_state, logmass = expand_word_tree(chain, mu.log_transition, state, logmass)
-        birk = birk[par] + (pvec[new_state] if j >= K else 0.0)
+        birk = birk[par] + (vals[new_state] if j >= K else 0)
         state = new_state
-    inside = interval.contains_array(birk / n)
+    inside = member(birk)
     mass = float(np.exp(logmass[inside]).sum()) if inside.any() else 0.0
     return DeviationPoint(
         n=n, mass=mass, log_mass=_log_or_neg_inf(mass), method="exact-enumeration",
@@ -469,7 +475,7 @@ def deviation_mass_exact(mu: LeafMeasure, obs: Potential, interval: Interval, n:
 
     if mode not in ("auto", "dp", "enumerate"):
         raise ValueError(f"unknown mode {mode!r}")
-    lattice = None if mode == "enumerate" else _detect_lattice(pvec)
+    lattice = _detect_lattice(pvec)
     if mode == "auto" and lattice is not None and (
             mu.chain.num_states * (n * max(lattice[2]) + 1) <= budget):
         mode = "dp"
@@ -477,7 +483,7 @@ def deviation_mass_exact(mu: LeafMeasure, obs: Potential, interval: Interval, n:
         # No level of the word tree outgrows the last: every state has a successor.
         count = leaf_word_counts(mu.chain, mu.start_index, n + mu.chain.block - 1)[-1]
         if count <= budget:
-            return _enum_point(mu, pvec, interval, n)
+            return _enum_point(mu, pvec, lattice, interval, n)
         if mode == "enumerate":
             raise BudgetExceeded(f"enumeration needs about {count:.3g} words, budget {budget:.3g}")
     return _dp_point(mu, pvec, lattice, interval, n, budget, bin_width)
@@ -522,6 +528,7 @@ def deviation_mass_mc(mu: LeafMeasure, obs: Potential, interval: Interval, n: in
     chain = mu.chain
     K = chain.block
     pvec = phi_vector(chain, obs)
+    vals, member = _walk_sums(pvec, _detect_lattice(pvec), interval, n)
     if tilt is None or tilt == 0.0:
         P_sim = mu.transition
         log_ratio = None
@@ -538,24 +545,21 @@ def deviation_mass_mc(mu: LeafMeasure, obs: Potential, interval: Interval, n: in
     total_sq = 0.0
     for _, j, cur, nxt in markov_walks(chain, P_sim, mu.start_index, steps, samples, seed):
         if j == 1:  # first step of a counter block
-            birk = np.zeros(len(cur))
+            birk = np.zeros(len(cur), dtype=vals.dtype)
             loglr = np.zeros(len(cur))
         if log_ratio is not None:
             loglr += log_ratio[cur, nxt]
         if j >= K:
-            birk += pvec[nxt]
+            birk += vals[nxt]
         if j == steps:
-            w = interval.contains_array(birk / n).astype(np.float64)
+            w = member(birk).astype(np.float64)
             if log_ratio is not None:
                 w = w * np.exp(loglr)
             total += float(w.sum())
             total_sq += float((w * w).sum())
     est = total / samples
-    if samples > 1:
-        var = max(total_sq - samples * est * est, 0.0) / (samples - 1)
-        stderr = math.sqrt(var / samples)
-    else:
-        stderr = 0.0
+    var = max(total_sq - samples * est * est, 0.0) / (samples - 1) if samples > 1 else 0.0
+    stderr = math.sqrt(var / samples)
     return DeviationPoint(
         n=n, mass=est, log_mass=_log_or_neg_inf(est), method="monte-carlo",
         stderr=stderr, samples=samples, tilt=tilt,

@@ -140,10 +140,11 @@ class RPFData:
     ``right`` and ``left`` are entrywise positive with ``sum(left) == 1``
     and ``left @ right == 1``; ``residual`` is the larger of their defects
     ``max |Mx - lam x| / (lam max x)``.  ``lower <= eigenvalue <= upper``
-    is the Collatz-Wielandt bracket of the returned vectors, widened by the
-    rounding error of its evaluation, so it certifies the Perron root of
-    the matrix as stored unless products in ``M @ right`` or ``left @ M``
-    underflow; ``upper`` is ``inf`` if both vectors have underflowed entries.
+    is the Collatz-Wielandt bracket of the final iterate (the returned
+    vectors before scaling), widened by the rounding error of its
+    evaluation, so it certifies the Perron root of the matrix as stored
+    unless products in ``M @ x`` underflow; ``upper`` is ``inf`` if both
+    vectors have underflowed entries.
     """
 
     eigenvalue: float
@@ -192,12 +193,6 @@ def _collatz_wielandt(h: np.ndarray, v: np.ndarray, mh: np.ndarray,
     return max(lo_h, lo_v), min(hi_h, hi_v)
 
 
-def _residual(lam: float, h: np.ndarray, v: np.ndarray, mh: np.ndarray, vm: np.ndarray) -> float:
-    """``max(|Mh - lam h| / (lam max h), |vM - lam v| / (lam max v))``, sup norms."""
-    return max(float(np.max(np.abs(mh - lam * h))) / (lam * float(np.max(h))),
-               float(np.max(np.abs(vm - lam * v))) / (lam * float(np.max(v))))
-
-
 def _power_stalls(history: deque[float], tol: float, n: int) -> bool:
     """Whether the residual contraction over the last ``_WINDOW`` power steps
     predicts more remaining steps than the inverse phase would cost."""
@@ -234,8 +229,8 @@ def _inverse_step(matrix: np.ndarray, x: np.ndarray, shift: float, work: np.ndar
     return y
 
 
-def _perron(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.ndarray, np.ndarray, int]:
-    """Perron eigendata of a primitive matrix and its transpose.
+def rpf_solve(M: WeightedMatrix, tol: float = 1e-13, max_iter: int = 10 ** 6) -> RPFData:
+    """Perron eigenvalue and positive left/right eigenvectors of a transfer matrix.
 
     Starts with power iteration and renormalization; the eigenvalue estimate
     is the Rayleigh quotient of the current pair, and the solve stops once
@@ -251,8 +246,11 @@ def _perron(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.nd
     Collatz-Wielandt bracket is narrower than ``tol`` (relative), and
     raises :class:`NoConvergence` if a vector loses positivity or
     finiteness, or if ``_STALL`` steps narrow neither residual nor bracket.
-    ``max_iter`` caps the power and inverse steps together.
+    ``max_iter`` caps the power and inverse steps together.  The residual
+    and bracket are those of the iterate the solve stopped on.
     """
+    M.chain.primitivity_power()  # raises NotPrimitive on hand-built chains
+    matrix = M.matrix
     n = matrix.shape[0]
     h = np.full(n, 1.0 / n)
     v = np.full(n, 1.0 / n)
@@ -266,9 +264,10 @@ def _perron(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.nd
         lam = float(v @ mh) / float(v @ h)
         if lam <= 0 or not math.isfinite(lam):
             raise NoConvergence(f"degenerate eigenvalue estimate {lam}")
-        res = _residual(lam, h, v, mh, vm)
+        res = max(float(np.max(np.abs(mh - lam * h))) / (lam * float(np.max(h))),
+                  float(np.max(np.abs(vm - lam * v))) / (lam * float(np.max(v))))
         if res <= tol:
-            return lam, h, v, it
+            break
         if work is None:
             history.append(res)
             if not _power_stalls(history, tol, n):
@@ -281,7 +280,7 @@ def _perron(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.nd
         lo, hi = _collatz_wielandt(h, v, mh, vm)
         width = (hi - lo) / lo
         if width <= tol:
-            return lam, h, v, it
+            break
         # From a poor vector the shift starts far above lam; the bracket
         # then narrows step by step while the residual stays near 1.
         if res < best_res or width < best_width:
@@ -293,22 +292,13 @@ def _perron(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.nd
         shift = hi * (1.0 + _SHIFT)
         h = _inverse_step(matrix, h, shift, work)
         v = _inverse_step(matrix.T, v, shift, work)
-    raise NoConvergence(f"Perron solve did not reach residual {tol} in {max_iter} steps")
-
-
-def rpf_solve(M: WeightedMatrix, tol: float = 1e-13, max_iter: int = 10 ** 6) -> RPFData:
-    """Perron eigenvalue and positive left/right eigenvectors of a transfer matrix."""
-    M.chain.primitivity_power()  # raises NotPrimitive on hand-built chains
-    lam, h, v, it = _perron(M.matrix, tol, max_iter)
-    v = v / v.sum()
-    h = h / float(v @ h)
-    mh = M.matrix @ h
-    vm = v @ M.matrix
-    res = _residual(lam, h, v, mh, vm)
+    else:
+        raise NoConvergence(f"Perron solve did not reach residual {tol} in {max_iter} steps")
     # Each ratio is a sum of at most n non-negative products and a division.
     lo, hi = _collatz_wielandt(h, v, mh, vm)
-    slack = (len(h) + 2) * float(np.finfo(np.float64).eps)
-    return RPFData(lam, h, v, res, it, lo * (1.0 - slack), hi * (1.0 + slack))
+    slack = (n + 2) * float(np.finfo(np.float64).eps)
+    v = v / v.sum()
+    return RPFData(lam, h / float(v @ h), v, res, it, lo * (1.0 - slack), hi * (1.0 + slack))
 
 
 def pressure(spec: SubshiftSpec, phi: Potential, block: int | None = None) -> float:
@@ -334,9 +324,13 @@ class MarkovMeasure:
     stationary: np.ndarray
 
 
-def _polish_stationary(pi: np.ndarray, P: np.ndarray, rounds: int = 64) -> np.ndarray:
+#: Power steps ``pi <- pi @ P`` that polish a stationary vector at most.
+_POLISH_ROUNDS = 64
+
+
+def _polish_stationary(pi: np.ndarray, P: np.ndarray) -> np.ndarray:
     pi = pi / pi.sum()
-    for _ in range(rounds):
+    for _ in range(_POLISH_ROUNDS):
         nxt = pi @ P
         nxt = nxt / nxt.sum()
         if float(np.max(np.abs(nxt - pi))) < 1e-16:
@@ -373,12 +367,12 @@ class TiltFamily:
     """Perron eigendata of ``W(t) = matrix * exp(gvec + t * pvec)``, weights
     on the source state, as ``t`` varies.
 
-    All values come from :meth:`rpf`.  ``q(t) = log lam(t) - log lam(0)`` is
-    convex with ``q'(t)`` the mean of ``pvec`` under the stationary vector
-    ``left * right`` of ``W(t)``'s Markov measure.  :meth:`of` builds the
-    family of ``base + t * obs``, whose ``q`` is the scaled cumulant of
-    ``obs``; a stochastic ``matrix`` with ``gvec = 0`` gives the exponential
-    tilts of that chain.
+    All values come from :meth:`rpf`, which solves each tilt once.
+    ``q(t) = log lam(t) - log lam(0)`` is convex with ``q'(t)`` the mean of
+    ``pvec`` under the stationary vector ``left * right`` of ``W(t)``'s
+    Markov measure.  :meth:`of` builds the family of ``base + t * obs``,
+    whose ``q`` is the scaled cumulant of ``obs``; a stochastic ``matrix``
+    with ``gvec = 0`` gives the exponential tilts of that chain.
     """
 
     chain: RecodedChain
@@ -386,6 +380,8 @@ class TiltFamily:
     gvec: np.ndarray
     pvec: np.ndarray
     tol: float = 1e-13
+    #: Eigendata of each tilt solved so far; a solve that raises is not kept.
+    _solved: dict[float, RPFData] = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, spec: SubshiftSpec, base: Potential, obs: Potential) -> "TiltFamily":
@@ -401,7 +397,7 @@ class TiltFamily:
         gmax = float(np.max(np.abs(self.gvec)))
         return min(200.0, 0.999 * (MAX_POTENTIAL_VALUE - gmax) / pmax) if pmax > 0 else 200.0
 
-    @cached_property
+    @property
     def base_log(self) -> float:
         return math.log(self.rpf(0.0).eigenvalue)
 
@@ -409,15 +405,16 @@ class TiltFamily:
         return WeightedMatrix(self.chain, self.matrix * np.exp(self.gvec + t * self.pvec)[:, None])
 
     def rpf(self, t: float) -> RPFData:
-        """Perron eigendata of ``W(t)`` from :func:`rpf_solve`."""
-        return rpf_solve(self._weighted(t), self.tol)
+        """Perron eigendata of ``W(t)`` from :func:`rpf_solve`, solved once per tilt."""
+        if t not in self._solved:
+            self._solved[t] = rpf_solve(self._weighted(t), self.tol)
+        return self._solved[t]
 
     def q(self, t: float) -> float:
         return math.log(self.rpf(t).eigenvalue) - self.base_log
 
     def measure(self, t: float) -> MarkovMeasure:
-        M = self._weighted(t)
-        return gibbs_measure(rpf_solve(M, self.tol), M)
+        return gibbs_measure(self.rpf(t), self._weighted(t))
 
     def q_prime(self, t: float) -> float:
         """Exact pressure derivative ``left @ (right * pvec)``; raises

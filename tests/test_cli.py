@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ldplab import IncompleteTable, NotPrimitive, ParseError, ValidationError
+from ldplab import IncompleteTable, NotPrimitive, ParseError, ValidationError, thermo
 from ldplab.cli import load_spec, run, to_json
 
 from conftest import golden_rate
@@ -177,6 +177,21 @@ def test_golden_within_tolerance(name, capsys):
             assert not isinstance(g, bool) and g == pytest.approx(w, rel=1e-12, abs=1e-15), loc
         else:
             assert g == w, loc
+
+
+def test_qcurve_solves_each_tilt_once(monkeypatch, capsys):
+    """q and q' at a tilt, and q(0) for the base pressure, share one solve."""
+    calls = []
+
+    def counting(M, *args):
+        calls.append(M.matrix.tobytes())
+        return solve(M, *args)
+
+    solve = thermo.rpf_solve
+    monkeypatch.setattr(thermo, "rpf_solve", counting)
+    code, _, err = run_capture(GOLDEN_COMMANDS["qcurve_gm.csv"], capsys)
+    assert code == 0, err
+    assert len(calls) == 5 and len(set(calls)) == 5
 
 
 def test_byte_identical_repeat_runs(capsys):

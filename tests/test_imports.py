@@ -1,6 +1,6 @@
 """Module boundaries: no module of the package imports a private
-(underscore) name from a sibling module, and every Perron solve goes
-through ``rpf_solve``."""
+(underscore) name from a sibling module, every Perron solve goes through
+``rpf_solve``, and a ``TiltFamily`` solves only in ``rpf``."""
 
 import ast
 from pathlib import Path
@@ -37,7 +37,18 @@ def _callers(node, name, scope="<module>"):
     return found
 
 
-def test_perron_is_called_only_by_rpf_solve():
-    callers = [f"{path.name}:{scope}" for path in sorted(PACKAGE.glob("*.py"))
-               for scope in _callers(ast.parse(path.read_text(encoding="utf-8")), "_perron")]
-    assert callers == ["thermo.py:rpf_solve"]
+def _package_callers(name):
+    return [f"{path.name}:{scope}" for path in sorted(PACKAGE.glob("*.py"))
+            for scope in _callers(ast.parse(path.read_text(encoding="utf-8")), name)]
+
+
+def test_perron_kernels_are_called_only_by_rpf_solve():
+    for kernel in ("_power_stalls", "_inverse_step", "_collatz_wielandt"):
+        assert set(_package_callers(kernel)) == {"thermo.py:rpf_solve"}, kernel
+
+
+def test_tilt_family_solves_only_in_rpf():
+    tree = ast.parse((PACKAGE / "thermo.py").read_text(encoding="utf-8"))
+    (cls,) = [node for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and node.name == "TiltFamily"]
+    assert _callers(cls, "rpf_solve") == ["rpf"]

@@ -37,8 +37,9 @@ from ldplab import (
     recommended_tilt,
     validate_spec,
 )
-from ldplab import ldp
+from ldplab import ldp, thermo
 from ldplab.ldp import _detect_lattice
+from ldplab.thermo import phi_vector
 
 from conftest import GOLDEN_RATIO, bernoulli_potential, golden_lambda, golden_rate
 
@@ -335,6 +336,21 @@ def test_golden_q_prime_matches_closed_form(gm):
         rpf = fam.rpf(t)
         assert isinstance(rpf, RPFData)
         assert rpf.lower <= lam <= rpf.upper
+
+
+def test_rate_curve_solves_no_matrix_twice(gm, monkeypatch):
+    """Each alpha's bracket revisits the tilts +-1, +-2, +-4, ...; the family
+    solves each of them once."""
+    calls = []
+
+    def counting(M, *args):
+        calls.append(M.matrix.tobytes())
+        return solve(M, *args)
+
+    solve = thermo.rpf_solve
+    monkeypatch.setattr(thermo, "rpf_solve", counting)
+    rate_curve(gm, Potential.zero(gm), Potential.indicator(gm, 1), np.linspace(0.0, 0.5, 61))
+    assert calls and len(set(calls)) == len(calls)
 
 
 def test_duality_double_transform_recovers_q(fs2, gm):
@@ -636,6 +652,38 @@ def test_mc_multiseed_unbiasedness(fs2):
     avg = float(np.mean(estimates))
     combined = math.sqrt(sum(variances)) / len(estimates)
     assert abs(avg - exact) <= 4 * combined
+
+
+@pytest.mark.parametrize("interval, n, exact", [
+    (Interval(0.1, 1.0, closed_lo=False), 3, 0.875),
+    (Interval(0.1, 1.0), 6, 1.0),
+])
+def test_methods_share_membership_at_boundary_average(fs2, interval, n, exact):
+    """Values 0.1 and 0.2: float sums of n values miss the exact average
+    0.1 on either side (0.30000000000000004 / 3 is above it), so every
+    method decides membership on the lattice sums instead."""
+    mu = leaf_measure(fs2, Potential.zero(fs2), (0,))
+    phi = Potential(1, {(0,): 0.1, (1,): 0.2})
+    dp = deviation_mass_exact(mu, phi, interval, n, mode="dp")
+    assert dp.method == "dp-lattice" and dp.mass == exact
+    en = deviation_mass_exact(mu, phi, interval, n, mode="enumerate")
+    assert en.mass == pytest.approx(exact, rel=1e-12)  # a wrong rule moves it by 1/8 or 1/64
+    mc = deviation_mass_mc(mu, phi, interval, n, 20000, seed=1)
+    if exact == 1.0:
+        assert mc.mass == 1.0
+    else:
+        assert abs(mc.mass - exact) <= 6 * mc.stderr
+
+
+def test_mc_falls_back_to_floats_when_lattice_sums_overflow():
+    """Denominators near 1e6 put these values on a lattice of gap ~1e-18, so
+    20 steps can sum past int64; such walks accumulate floats instead."""
+    fs4 = validate_spec(np.ones((4, 4), dtype=int))
+    phi = Potential(1, {(0,): 0.0, (1,): 499991 / 999983, (2,): 499989 / 999979,
+                        (3,): 499979 / 999961})
+    assert 20 * max(_detect_lattice(phi_vector(recode(fs4, 1), phi))[2]) > 2 ** 63
+    mu = leaf_measure(fs4, Potential.zero(fs4), (0,))
+    assert deviation_mass_mc(mu, phi, Interval(0.0, 1.0), 20, 2000, seed=1).mass == 1.0
 
 
 def test_recommended_tilt_zero_when_interval_contains_mean(fs2):
