@@ -360,27 +360,42 @@ def _walk_sums(pvec: np.ndarray, lattice, interval: Interval, n: int):
     return np.asarray(lattice[2], dtype=np.int64), lambda sums: (sums >= zlo) & (sums <= zhi)
 
 
-def _lattice_masses(mu: LeafMeasure, z: Sequence[int], n: int) -> np.ndarray:
-    """Mass per accumulated integer weight over the n windows after the start."""
+def _lattice_masses(mu: LeafMeasure, z: Sequence[int], n: int, zlo: int, zhi: int) -> np.ndarray:
+    """Masses of the integer weight sums ``zlo .. zhi`` (``0 <= zlo``,
+    ``zhi <= n * max z``) accumulated over the n windows after the start.
+
+    Weights are >= 0, so a sum above ``zhi`` never comes back, and one below
+    ``zlo - r * max z`` with r windows left never reaches ``zlo``: only the
+    band between them is computed.  Column ``max z + Z`` holds sum ``Z``; the
+    ``max z`` columns below sum 0 stay zero, so each z-group's shift is one
+    copy out of the matmul buffer.
+    """
     chain = mu.chain
     K = chain.block
     z = np.asarray(z, dtype=np.int64)
-    width = n * int(z.max()) + 1
-    v = np.zeros((chain.num_states, width))
-    v[mu.start_index, 0] = 1.0
+    zmax = int(z.max())
+    if zlo > zhi:
+        return np.zeros(0)
+    v = np.zeros((chain.num_states, zmax + zhi + 1))
+    out = np.zeros_like(v)
+    v[mu.start_index, zmax] = 1.0
     PT = mu.transition.T.copy()
-    groups = [(zi, np.flatnonzero(z == zi)) for zi in sorted(set(int(x) for x in z))]
+    groups = []
+    for zi in sorted(set(z.tolist())):
+        rows = np.flatnonzero(z == zi)
+        contiguous = rows[-1] - rows[0] + 1 == len(rows)
+        groups.append((zi, slice(rows[0], rows[-1] + 1) if contiguous else rows))
+    lo = hi = zmax  # the live band of columns
     for j in range(1, n + K):
-        v = PT @ v
-        if j >= K:
-            shifted = np.zeros_like(v)
-            for zi, rows in groups:
-                if zi == 0:
-                    shifted[rows] = v[rows]
-                else:
-                    shifted[rows, zi:] = v[rows, :-zi] if zi < width else 0.0
-            v = shifted
-    return v.sum(axis=0)
+        np.matmul(PT, v[:, lo:hi + 1], out=out[:, lo:hi + 1])
+        if j < K:
+            v, out = out, v
+            continue
+        lo = max(lo, zmax + zlo - (n + K - 1 - j) * zmax)
+        hi = min(hi + zmax, zmax + zhi)
+        for zi, rows in groups:
+            v[rows, lo:hi + 1] = out[rows, lo - zi:hi + 1 - zi]
+    return v[:, lo:hi + 1].sum(axis=0)
 
 
 def _dp_point(mu: LeafMeasure, pvec: np.ndarray, lattice, interval: Interval, n: int,
@@ -389,42 +404,38 @@ def _dp_point(mu: LeafMeasure, pvec: np.ndarray, lattice, interval: Interval, n:
     certified binned DP at ``bin_width`` when it is None."""
     if lattice is not None:
         offset, gap, z = lattice
-        slack = Fraction(0)
     else:
-        gap = Fraction(bin_width)
+        unit = Fraction(bin_width)
         raw = [int(round(float(v) / bin_width)) for v in pvec]
         zmin = min(raw)
-        z = [zi - zmin for zi in raw]
-        offset = gap * zmin
-        slack = n * max((abs(Fraction(float(v)) - gap * r) for v, r in zip(pvec, raw)), default=Fraction(0))
+        # The common factor of the bins changes no bracket; dividing it out shrinks the DP.
+        g = math.gcd(*(r - zmin for r in raw)) or 1
+        z = [(r - zmin) // g for r in raw]
+        offset, gap = unit * zmin, unit * g
+        avg_slack = max(abs(Fraction(float(v)) - unit * r) for v, r in zip(pvec, raw))
     cells = mu.chain.num_states * (n * max(z) + 1)
     if cells > budget:
         raise BudgetExceeded(f"lattice dynamic program needs {cells} cells, budget {budget:.3g}")
 
-    masses = _lattice_masses(mu, z, n)
-    zlo, zhi = _lattice_inside(interval, (offset, gap, z), n)
-    avg_slack = slack / n
-    low = 0.0
-    high = 0.0
-    for Z, m in enumerate(masses):
-        if m == 0.0:
-            continue
-        if slack == 0:
-            if zlo <= Z <= zhi:
-                low += float(m)
-                high += float(m)
-            continue
-        avg = offset + gap * Fraction(Z, n)
-        lo_val, hi_val = float(avg - avg_slack), float(avg + avg_slack)
-        if _rank(interval, hi_val) > 0 and _rank(interval, lo_val) < 2:  # the range meets it
-            high += float(m)
-            if interval.contains(lo_val) and interval.contains(hi_val):
-                low += float(m)
+    if lattice is not None:
+        masses = _lattice_masses(mu, z, n, *_lattice_inside(interval, lattice, n))
+        # Added one by one in order, as np.sum's pairwise order would round differently.
+        low = high = float(np.cumsum(masses)[-1]) if masses.size else 0.0
+    else:
+        masses = _lattice_masses(mu, z, n, 0, n * max(z))
+        low = high = 0.0
+        for Z in np.flatnonzero(masses):
+            avg = offset + gap * Fraction(int(Z), n)
+            lo_val, hi_val = float(avg - avg_slack), float(avg + avg_slack)
+            if _rank(interval, hi_val) > 0 and _rank(interval, lo_val) < 2:  # the range meets it
+                high += float(masses[Z])
+                if interval.contains(lo_val) and interval.contains(hi_val):
+                    low += float(masses[Z])
     mass = 0.5 * (low + high)
     return DeviationPoint(
         n=n, mass=mass, log_mass=_log_or_neg_inf(mass),
         method="dp-binned" if lattice is None else "dp-lattice",
-        mass_low=low, mass_high=high, bin_width=float(gap),
+        mass_low=low, mass_high=high, bin_width=bin_width if lattice is None else float(gap),
     )
 
 
@@ -476,8 +487,8 @@ def deviation_mass_exact(mu: LeafMeasure, obs: Potential, interval: Interval, n:
     if mode not in ("auto", "dp", "enumerate"):
         raise ValueError(f"unknown mode {mode!r}")
     lattice = _detect_lattice(pvec)
-    if mode == "auto" and lattice is not None and (
-            mu.chain.num_states * (n * max(lattice[2]) + 1) <= budget):
+    lattice_fits = lattice is not None and mu.chain.num_states * (n * max(lattice[2]) + 1) <= budget
+    if mode == "auto" and lattice_fits:
         mode = "dp"
     if mode != "dp":
         # No level of the word tree outgrows the last: every state has a successor.
@@ -486,6 +497,7 @@ def deviation_mass_exact(mu: LeafMeasure, obs: Potential, interval: Interval, n:
             return _enum_point(mu, pvec, lattice, interval, n)
         if mode == "enumerate":
             raise BudgetExceeded(f"enumeration needs about {count:.3g} words, budget {budget:.3g}")
+        lattice = None  # auto: the lattice DP is over budget, so bin
     return _dp_point(mu, pvec, lattice, interval, n, budget, bin_width)
 
 
@@ -544,7 +556,7 @@ def deviation_mass_mc(mu: LeafMeasure, obs: Potential, interval: Interval, n: in
     total = 0.0
     total_sq = 0.0
     for _, j, cur, nxt in markov_walks(chain, P_sim, mu.start_index, steps, samples, seed):
-        if j == 1:  # first step of a counter block
+        if j == 1:  # first step of a sub-block of walks
             birk = np.zeros(len(cur), dtype=vals.dtype)
             loglr = np.zeros(len(cur))
         if log_ratio is not None:

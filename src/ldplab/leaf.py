@@ -31,6 +31,10 @@ from .thermo import RecodedChain, gibbs_measure, phi_vector, recode, rpf_solve, 
 #: block i // CHUNK_ROWS, row i % CHUNK_ROWS, independent of consumption order.
 CHUNK_ROWS = 1 << 16
 
+#: Most uniforms one draw of the path sampler holds; a counter block's walks
+#: are drawn in row sub-blocks of at most this many doubles (8 MB).
+MAX_UNIFORMS = 1 << 20
+
 
 @dataclass(eq=False)
 class LeafMeasure:
@@ -336,17 +340,18 @@ def markov_walks(chain: RecodedChain, transition: np.ndarray, start_index: int, 
     index ``first .. first + count - 1``.
 
     Index ``i`` reads row ``i % CHUNK_ROWS`` of counter block ``i // CHUNK_ROWS``,
-    so its walk depends only on (seed, i, steps).  Per counter block, one
-    ``(rows, steps)`` array of uniforms is drawn for the requested rows only,
-    and ``(rows, j, cur, nxt)`` yielded for ``j = 1 .. steps``: ``rows``
-    slices the block's walks (counted from ``first``), ``cur``/``nxt`` are
-    their states before/after step ``j``.
+    so its walk depends only on (seed, i, steps).  The requested rows of a
+    counter block are drawn in sub-blocks of at most ``MAX_UNIFORMS``
+    uniforms, one ``(rows, steps)`` array each, and ``(rows, j, cur, nxt)``
+    yielded for ``j = 1 .. steps``: ``rows`` slices the sub-block's walks
+    (counted from ``first``), ``cur``/``nxt`` are their states before/after
+    step ``j``.
     """
     succ, cum = _sampling_tables(chain, transition)
     lo, end = first, first + count
     while lo < end:
         block, row = divmod(lo, CHUNK_ROWS)
-        hi = min(end, (block + 1) * CHUNK_ROWS)
+        hi = min(end, (block + 1) * CHUNK_ROWS, lo + max(1, MAX_UNIFORMS // max(steps, 1)))
         U = _uniform_block(seed, block, row, hi - lo, steps)
         rows = slice(lo - first, hi - first)
         cur = np.full(hi - lo, start_index, dtype=np.int64)

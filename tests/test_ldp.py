@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -553,6 +555,159 @@ def test_deviation_binned_brackets_contain_truth(fs2):
         assert dp.mass_low - 1e-12 <= en.mass <= dp.mass_high + 1e-12
 
 
+def _full_width_masses(mu, z, n):
+    """The lattice DP without pruning: the mass of every sum 0 .. n * max z,
+    each step in fresh arrays."""
+    K = mu.chain.block
+    z = np.asarray(z, dtype=np.int64)
+    width = n * int(z.max()) + 1
+    v = np.zeros((mu.chain.num_states, width))
+    v[mu.start_index, 0] = 1.0
+    PT = mu.transition.T.copy()
+    groups = [(zi, np.flatnonzero(z == zi)) for zi in sorted(set(int(x) for x in z))]
+    for j in range(1, n + K):
+        v = PT @ v
+        if j >= K:
+            shifted = np.zeros_like(v)
+            for zi, rows in groups:
+                if zi == 0:
+                    shifted[rows] = v[rows]
+                else:
+                    shifted[rows, zi:] = v[rows, :-zi] if zi < width else 0.0
+            v = shifted
+    return v.sum(axis=0)
+
+
+def _reference_mass(mu, phi, interval, n):
+    """The lattice run's mass from the full-width DP, added in order."""
+    lattice = _detect_lattice(phi_vector(mu.chain, phi))
+    zlo, zhi = ldp._lattice_inside(interval, lattice, n)
+    total = 0.0
+    for m in _full_width_masses(mu, lattice[2], n)[zlo:zhi + 1]:
+        total += float(m)
+    return total
+
+
+# An upper tail, a lower tail (cut by zhi), an interior interval, the whole range, open ends.
+_DP_INTERVALS = (Interval(0.7, 1.0), Interval(0.0, 0.3), Interval(0.4, 0.55), Interval(0.0, 1.0),
+                 Interval(0.3, 0.7, closed_lo=False, closed_hi=False))
+
+
+@pytest.fixture(scope="module")
+def memory3_leaf():
+    """A 4-symbol system recoded at memory 3 (36 states), its observable z / 3
+    for random labels z in 0..3, and its leaf with a dyadic transition matrix
+    (eighths), on which every DP sum up to 17 steps is exact."""
+    A = [[1, 1, 0, 1], [1, 0, 1, 1], [0, 1, 1, 1], [1, 1, 1, 0]]
+    spec = validate_spec(A)
+    rng = np.random.default_rng(3)
+    words = [w for w in itertools.product(range(4), repeat=3) if A[w[0]][w[1]] and A[w[1]][w[2]]]
+    G = Potential(3, {w: float(rng.normal()) for w in words})
+    phi = Potential(3, {w: int(rng.integers(0, 4)) / 3 for w in words})
+    mu = leaf_measure(spec, G, words[5])
+    dyadic = np.zeros_like(mu.transition)
+    for s, row in enumerate(mu.chain.adjacency):
+        cuts = np.sort(rng.choice(np.arange(1, 8), size=row.sum() - 1, replace=False))
+        dyadic[s, row > 0] = np.diff(np.concatenate(([0], cuts, [8]))) / 8
+    assert mu.chain.num_states >= 30
+    return mu, dataclasses.replace(mu, transition=dyadic), phi
+
+
+def test_lattice_dp_equals_full_width_dp(fs2, gm, memory3_leaf):
+    """The DP computes only the sums that can still land in the interval; the
+    run it sums is bit for bit the full-width DP's.  On the memory-3 chain,
+    pre-window steps (j < K) are where an off-by-one would show."""
+    mu3, dyadic3, phi3 = memory3_leaf
+    cases = [(leaf_measure(fs2, bernoulli_potential(fs2, 0.3), (1,)), Potential.indicator(fs2, 1),
+              (1, 2, 7, 60, 301, 1000)),
+             (leaf_measure(gm, Potential.zero(gm), (0,)), Potential.indicator(gm, 1),
+              (1, 2, 7, 60, 301, 1000)),
+             (dyadic3, phi3, (1, 2, 3, 7, 15))]
+    for mu, phi, ns in cases:
+        for iv in _DP_INTERVALS:
+            for n in ns:
+                p = deviation_mass_exact(mu, phi, iv, n, mode="dp")
+                assert p.method == "dp-lattice"
+                assert p.mass == _reference_mass(mu, phi, iv, n), (iv, n)
+
+
+def test_lattice_dp_matches_full_width_dp_on_gibbs_leaf(memory3_leaf):
+    """On the 36-state Gibbs leaf, dgemm may round a column in the last bit
+    differently when the band's width differs from the full table's (OpenBLAS
+    picks its kernel for a partial column panel by shape), so this compares
+    within 1e-13, above n * eps = 4.4e-14 at n = 200; an off-by-one moves
+    the mass by far more."""
+    mu, _, phi = memory3_leaf
+    for iv in _DP_INTERVALS:
+        for n in (1, 2, 3, 40, 200):
+            ref = _reference_mass(mu, phi, iv, n)
+            assert deviation_mass_exact(mu, phi, iv, n, mode="dp").mass == pytest.approx(ref, rel=1e-13)
+
+
+def _bern03_reference_bracket(mu, pvec, interval, n, bin_width=1e-3):
+    """The binned DP's bracket on the undivided z, over the full-width DP."""
+    gap = Fraction(bin_width)
+    raw = [int(round(float(v) / bin_width)) for v in pvec]
+    z = [r - min(raw) for r in raw]
+    avg_slack = max(abs(Fraction(float(v)) - gap * r) for v, r in zip(pvec, raw))
+    low = high = 0.0
+    for Z, m in enumerate(_full_width_masses(mu, z, n)):
+        if m == 0.0:
+            continue
+        avg = gap * min(raw) + gap * Fraction(Z, n)
+        lo_val, hi_val = float(avg - avg_slack), float(avg + avg_slack)
+        if ldp._rank(interval, hi_val) > 0 and ldp._rank(interval, lo_val) < 2:
+            high += float(m)
+            if interval.contains(lo_val) and interval.contains(hi_val):
+                low += float(m)
+    return low, high
+
+
+def test_binned_dp_divides_out_the_common_factor(fs2):
+    """bern03 (log 0.3, log 0.7) bins to {0, 847}: the DP runs on {0, 1},
+    and its brackets are those of the undivided DP."""
+    bern03 = bernoulli_potential(fs2, 0.3)
+    mu = leaf_measure(fs2, Potential.zero(fs2), (0,))
+    iv = Interval(-0.6, -0.3)
+    pvec = phi_vector(mu.chain, bern03)
+    for n in (100, 200, 300):
+        p = deviation_mass_exact(mu, bern03, iv, n, mode="dp")
+        assert p.method == "dp-binned" and p.bin_width == 1e-3
+        assert (p.mass_low, p.mass_high) == _bern03_reference_bracket(mu, pvec, iv, n)
+
+
+def test_binned_dp_time_gate(fs2):
+    """bern03 at n = 1000 ran 847,001 columns per step before the common
+    factor was divided out; now 1,001."""
+    mu = leaf_measure(fs2, Potential.zero(fs2), (0,))
+    start = time.perf_counter()
+    p = deviation_mass_exact(mu, bernoulli_potential(fs2, 0.3), Interval(-0.6, -0.3), 1000, mode="dp")
+    elapsed = time.perf_counter() - start
+    assert p.method == "dp-binned" and 0.0 < p.mass_low <= p.mass_high
+    assert elapsed < 1.0
+
+
+def test_auto_bins_when_lattice_dp_is_over_budget():
+    """Denominators near 1e6 put these values on a lattice whose DP needs
+    ~4e19 cells; with enumeration over budget too, auto mode bins them.
+    k nonzero symbols average just under k / 40, so the exact mass is
+    P(13 <= Bin(20, 3/4) <= 16), and the bracket holds P(12 .. 15) too."""
+    fs4 = validate_spec(np.ones((4, 4), dtype=int))
+    phi = Potential(1, {(0,): 0.0, (1,): 499991 / 999983, (2,): 499989 / 999979,
+                        (3,): 499979 / 999961})
+    mu = leaf_measure(fs4, Potential.zero(fs4), (0,))
+    p = deviation_mass_exact(mu, phi, Interval(0.3, 0.4), 20)
+    assert p.method == "dp-binned"
+
+    def binom(lo, hi):
+        return sum(math.comb(20, k) * 3 ** k for k in range(lo, hi + 1)) / 4 ** 20
+
+    assert p.mass_low <= binom(12, 15) <= p.mass_high
+    assert p.mass_low <= binom(13, 16) <= p.mass_high
+    with pytest.raises(BudgetExceeded):
+        deviation_mass_exact(mu, phi, Interval(0.3, 0.4), 20, mode="dp")
+
+
 def test_deviation_nested_intervals_monotone(fs2):
     mu = leaf_measure(fs2, Potential.zero(fs2), (0,))
     ind1 = Potential.indicator(fs2, 1)
@@ -652,6 +807,21 @@ def test_mc_multiseed_unbiasedness(fs2):
     avg = float(np.mean(estimates))
     combined = math.sqrt(sum(variances)) / len(estimates)
     assert abs(avg - exact) <= 4 * combined
+
+
+def test_mc_memory_is_capped(fs2):
+    """Walks are drawn in sub-blocks of at most 2**20 uniforms; one
+    (65,536, 300) draw would take 157 MB."""
+    mu = leaf_measure(fs2, Potential.zero(fs2), (0,))
+    ind1 = Potential.indicator(fs2, 1)
+    tracemalloc.start()
+    try:
+        p = deviation_mass_mc(mu, ind1, Interval(0.7, 1.0), 300, 65536, tilt=math.log(7 / 3), seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.mass > 0.0
+    assert peak < 32 << 20
 
 
 @pytest.mark.parametrize("interval, n, exact", [

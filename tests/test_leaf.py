@@ -20,7 +20,8 @@ from ldplab import (
     unstable_leaf_words,
 )
 
-from ldplab.leaf import CHUNK_ROWS
+from ldplab import leaf
+from ldplab.leaf import CHUNK_ROWS, MAX_UNIFORMS
 
 from conftest import GOLDEN_RATIO, bernoulli_potential
 
@@ -266,6 +267,18 @@ def test_sampler_deterministic_and_index_consistent(uniform_leaf):
     batch = sample_paths(uniform_leaf, 4, CHUNK_ROWS + 2, seed=123)
     for i in (CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1):
         assert sample_path(uniform_leaf, 4, seed=123, index=i) == tuple(batch[i])
+
+
+def test_walk_sub_blocks_leave_paths_unchanged(uniform_leaf, monkeypatch):
+    """Walks are drawn in row sub-blocks of at most MAX_UNIFORMS uniforms;
+    where a counter block splits is invisible in the paths."""
+    steps = 39
+    count = MAX_UNIFORMS // steps + 2  # two sub-blocks
+    batch = sample_paths(uniform_leaf, steps + 1, count, seed=5)
+    for i in (0, count - 3, count - 2, count - 1):
+        assert sample_path(uniform_leaf, steps + 1, seed=5, index=i) == tuple(batch[i])
+    monkeypatch.setattr(leaf, "MAX_UNIFORMS", 100)  # two rows per sub-block
+    assert (sample_paths(uniform_leaf, steps + 1, 501, seed=5) == batch[:501]).all()
 
 
 def test_sample_path_draws_only_its_own_row(parry_leaf0):
