@@ -171,6 +171,12 @@ _SHIFT = 1e-12
 #: Inverse steps that narrow neither the residual nor the relative bracket
 #: width to a new low before giving up.
 _STALL = 8
+#: :class:`TiltFamily` starts the solve of a chain with at most this many
+#: states from :func:`_dense_start`.  With one BLAS thread on a 2-core x86
+#: VM, random tilted chains solve in 0.4 ms from that start against 0.7 ms
+#: from a flat one at 30 to 32 states; the two tie at about 41 states, and
+#: at 62 the two ``eig`` calls alone cost twice a flat solve.
+_DENSE_START = 32
 
 
 def _collatz_wielandt(h: np.ndarray, v: np.ndarray, mh: np.ndarray,
@@ -229,7 +235,21 @@ def _inverse_step(matrix: np.ndarray, x: np.ndarray, shift: float, work: np.ndar
     return y
 
 
-def rpf_solve(M: WeightedMatrix, tol: float = 1e-13, max_iter: int = 10 ** 6) -> RPFData:
+def _dense_start(matrix: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """Right and left Perron vectors from ``np.linalg.eig``: the eigenvector
+    of the eigenvalue with the largest real part, as the absolute value of
+    its real part; ``None`` if LAPACK fails or an entry is not finite and
+    positive."""
+    try:
+        pair = tuple(np.abs(vecs[:, np.argmax(w.real)].real)
+                     for w, vecs in map(np.linalg.eig, (matrix, matrix.T)))
+    except np.linalg.LinAlgError:
+        return None
+    return pair if all(np.all((x > 0) & (x < math.inf)) for x in pair) else None
+
+
+def rpf_solve(M: WeightedMatrix, tol: float = 1e-13, start: tuple[np.ndarray, ...] | None = None,
+              max_iter: int = 10 ** 6) -> RPFData:
     """Perron eigenvalue and positive left/right eigenvectors of a transfer matrix.
 
     Starts with power iteration and renormalization; the eigenvalue estimate
@@ -248,12 +268,22 @@ def rpf_solve(M: WeightedMatrix, tol: float = 1e-13, max_iter: int = 10 ** 6) ->
     finiteness, or if ``_STALL`` steps narrow neither residual nor bracket.
     ``max_iter`` caps the power and inverse steps together.  The residual
     and bracket are those of the iterate the solve stopped on.
+
+    ``start`` is an optional pair of positive right and left vectors to
+    iterate from instead of the flat vectors.  It is kept only if its own
+    Collatz-Wielandt bracket is already narrower than ``tol`` (relative);
+    otherwise it costs two matvecs and the solve is the flat-start solve,
+    bit for bit.  A kept start usually passes the residual test at once.
     """
     M.chain.primitivity_power()  # raises NotPrimitive on hand-built chains
     matrix = M.matrix
     n = matrix.shape[0]
     h = np.full(n, 1.0 / n)
     v = np.full(n, 1.0 / n)
+    if start is not None:
+        lo, hi = _collatz_wielandt(*start, matrix @ start[0], start[1] @ matrix)
+        if hi - lo <= tol * lo:
+            h, v = start
     history: deque[float] = deque(maxlen=_WINDOW + 1)
     work = None  # allocated on switching to inverse iteration
     best_res = best_width = math.inf
@@ -367,7 +397,8 @@ class TiltFamily:
     """Perron eigendata of ``W(t) = matrix * exp(gvec + t * pvec)``, weights
     on the source state, as ``t`` varies.
 
-    All values come from :meth:`rpf`, which solves each tilt once.
+    All values come from :meth:`rpf`, which solves each tilt once, from
+    LAPACK's Perron vectors on a chain of at most ``_DENSE_START`` states.
     ``q(t) = log lam(t) - log lam(0)`` is convex with ``q'(t)`` the mean of
     ``pvec`` under the stationary vector ``left * right`` of ``W(t)``'s
     Markov measure.  :meth:`of` builds the family of ``base + t * obs``,
@@ -405,9 +436,13 @@ class TiltFamily:
         return WeightedMatrix(self.chain, self.matrix * np.exp(self.gvec + t * self.pvec)[:, None])
 
     def rpf(self, t: float) -> RPFData:
-        """Perron eigendata of ``W(t)`` from :func:`rpf_solve`, solved once per tilt."""
+        """Perron eigendata of ``W(t)`` from :func:`rpf_solve`, solved once per
+        tilt; on a chain of at most ``_DENSE_START`` states the solve starts
+        from :func:`_dense_start`'s vectors where their bracket allows."""
         if t not in self._solved:
-            self._solved[t] = rpf_solve(self._weighted(t), self.tol)
+            M = self._weighted(t)
+            start = _dense_start(M.matrix) if self.chain.num_states <= _DENSE_START else None
+            self._solved[t] = rpf_solve(M, self.tol, start)
         return self._solved[t]
 
     def q(self, t: float) -> float:

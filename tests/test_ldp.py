@@ -308,7 +308,7 @@ def test_rate_at_range_end_caps_bracket_before_underflowing_tilt():
     entropy_A = math.log(max(abs(np.linalg.eigvals(np.array(A, dtype=float)))))
     assert curve.boundary == (True,)
     assert curve.tilts == (-200.0,)
-    assert curve.values[0] == 0.6493991957832604
+    assert curve.values[0] == 0.6493991957832603
     assert curve.values[0] == pytest.approx(entropy_A, rel=1e-12)
 
 
@@ -330,14 +330,20 @@ def test_rate_bracket_stops_where_perron_vector_underflows(fs2):
 
 def test_golden_q_prime_matches_closed_form(gm):
     """q'(t) = lam'(t) / lam(t) = e^t / (lam (2 lam - 1)), from lam^2 = lam + e^t;
-    the family's eigendata carries a bracket of lam."""
+    the family's eigendata carries a bracket of lam.  At t <= -40 the tiny
+    entry of a Perron vector carries q'; from a flat start power iteration
+    stopped before that entry converged, and q'(-40) came out halved
+    (``abs=0.0``: approx's default absolute slack of 1e-12 hides that).  The
+    dense start solves t = 200 in one step, where the flat start took 155."""
     fam = TiltFamily.of(gm, Potential.zero(gm), Potential.indicator(gm, 1))
-    for t in (-2.0, -1.0, 0.0, 1.0, 2.0, 5.0, 10.0, 40.0):
+    for t in (-200.0, -100.0, -40.0, -2.0, -1.0, 0.0, 1.0, 2.0, 5.0, 10.0, 40.0, 200.0, 500.0):
         lam = golden_lambda(t)
-        assert fam.q_prime(t) == pytest.approx(math.exp(t) / (lam * (2 * lam - 1)), rel=1e-12)
+        want = math.exp(t) / (lam * (2 * lam - 1))
+        assert fam.q_prime(t) == pytest.approx(want, rel=1e-12, abs=0.0)
         rpf = fam.rpf(t)
         assert isinstance(rpf, RPFData)
         assert rpf.lower <= lam <= rpf.upper
+    assert fam.rpf(200.0).iterations <= 2
 
 
 def test_rate_curve_solves_no_matrix_twice(gm, monkeypatch):

@@ -24,7 +24,8 @@ from ldplab import (
     validate_spec,
     variational_gap,
 )
-from ldplab.thermo import RecodedChain, stationary_distribution
+from ldplab.thermo import (_DENSE_START, RecodedChain, TiltFamily, WeightedMatrix,
+                           stationary_distribution)
 
 from conftest import GOLDEN_RATIO, bernoulli_potential, golden_lambda
 
@@ -215,6 +216,72 @@ def test_rpf_rejects_non_primitive_chain(fs2):
     M = transfer_matrix(chain, Potential.zero(fs2))
     with pytest.raises(NotPrimitive):
         rpf_solve(M)
+
+
+def _same_rpf(a, b):
+    assert (a.eigenvalue, a.residual, a.iterations, a.lower, a.upper) == \
+        (b.eigenvalue, b.residual, b.iterations, b.lower, b.upper)
+    assert np.array_equal(a.right, b.right) and np.array_equal(a.left, b.left)
+
+
+def test_rpf_drops_a_start_whose_bracket_is_wider_than_tol(gm):
+    """A start is kept only if its own Collatz-Wielandt bracket is within
+    ``tol``; otherwise the solve is the flat-start solve, bit for bit."""
+    M = _golden_tilt(gm, 40)
+    for start in ((np.array([1.0, 2.0]), np.array([3.0, 1.0])),
+                  (np.array([1.0, 1e-17]), np.array([1.0, 1e-17]))):
+        _same_rpf(rpf_solve(M, start=start), rpf_solve(M))
+
+
+def test_tilt_family_above_dense_start_solves_flat(fs2):
+    """A chain above the cutoff gets no start: 64 states, W(t) from random
+    potentials, the same eigendata as a flat ``rpf_solve``."""
+    chain = recode(fs2, 6)
+    assert chain.num_states > _DENSE_START
+    rng = np.random.default_rng(11)
+    fam = TiltFamily(chain, chain.adjacency.astype(np.float64),
+                     rng.standard_normal(64), rng.standard_normal(64))
+    for t in (0.0, 2.5, -7.0):
+        W = WeightedMatrix(chain, fam.matrix * np.exp(fam.gvec + t * fam.pvec)[:, None])
+        _same_rpf(fam.rpf(t), rpf_solve(W, fam.tol))
+
+
+def _small_families(rng, count):
+    """Tilt families of random primitive chains of at most ``_DENSE_START``
+    states, base potentials scaled by 0.5, 5 and 50 in turn."""
+    fams = []
+    while len(fams) < count:
+        m, k = int(rng.integers(2, 7)), int(rng.integers(1, 3))
+        try:
+            spec = validate_spec((rng.random((m, m)) < 0.6).astype(int))
+        except LdplabError:
+            continue
+        chain = recode(spec, k)
+        n = chain.num_states
+        if n <= _DENSE_START:
+            scale = (0.5, 5.0, 50.0)[len(fams) % 3]
+            fams.append(TiltFamily(chain, chain.adjacency.astype(np.float64),
+                                   scale * rng.standard_normal(n), rng.standard_normal(n)))
+    return fams
+
+
+def test_dense_start_solves_whatever_the_flat_start_solves():
+    """Where the flat start returns, the dense start returns too, inside its
+    bracket; a bracket within 1e-12 stays within it, and two such solves
+    agree to 1e-12."""
+    rng = np.random.default_rng(20261018)
+    for fam in _small_families(rng, 50):
+        for t in (1.0, -10.0, 60.0, -120.0):
+            M = WeightedMatrix(fam.chain, fam.matrix * np.exp(fam.gvec + t * fam.pvec)[:, None])
+            try:
+                flat = rpf_solve(M, fam.tol)
+            except NoConvergence:
+                continue
+            dense = fam.rpf(t)
+            assert dense.lower <= dense.eigenvalue <= dense.upper
+            if flat.upper - flat.lower <= 1e-12 * flat.lower:
+                assert dense.upper - dense.lower <= 1e-12 * dense.lower
+                assert dense.eigenvalue == pytest.approx(flat.eigenvalue, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
