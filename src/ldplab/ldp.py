@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, DegenerateFit, EmptyInterval, IncompatibleSupport
-from .leaf import LeafMeasure, expand_word_tree, leaf_word_counts, markov_walks
+from .leaf import LeafMeasure, expand_word_tree, leaf_word_counts, markov_walks, walk_tables
 from .sft import Potential, SubshiftSpec
 from .thermo import (MarkovMeasure, RecodedChain, TiltFamily, entropy, integrate, phi_vector,
                      pressure, random_markov_measure, recode)
@@ -552,17 +552,23 @@ def deviation_mass_mc(mu: LeafMeasure, obs: Potential, interval: Interval, n: in
             log_ratio = np.where(chain.adjacency > 0,
                                  np.log(np.where(P_sim > 0, mu.transition / P_sim, 1.0)), 0.0)
 
+    tables = walk_tables(chain, P_sim)
+    W, dst, _ = tables
+    vals = vals[dst]  # per edge slot from here on, as is log_ratio
+    if log_ratio is not None:
+        log_ratio = log_ratio[np.arange(len(dst)) // W, dst]
+
     steps = n + K - 1
     total = 0.0
     total_sq = 0.0
-    for _, j, cur, nxt in markov_walks(chain, P_sim, mu.start_index, steps, samples, seed):
+    for _, j, slot in markov_walks(tables, mu.start_index, steps, samples, seed):
         if j == 1:  # first step of a sub-block of walks
-            birk = np.zeros(len(cur), dtype=vals.dtype)
-            loglr = np.zeros(len(cur))
+            birk = np.zeros(len(slot), dtype=vals.dtype)
+            loglr = np.zeros(len(slot))
         if log_ratio is not None:
-            loglr += log_ratio[cur, nxt]
+            loglr += log_ratio.take(slot)
         if j >= K:
-            birk += vals[nxt]
+            birk += vals.take(slot)
         if j == steps:
             w = member(birk).astype(np.float64)
             if log_ratio is not None:

@@ -320,45 +320,58 @@ def _uniform_block(seed: int, chunk_index: int, first_row: int, rows: int,
     return gen.random((rows, steps))
 
 
-def _sampling_tables(chain: RecodedChain, transition: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Padded successors and cumulative probabilities for sampling.
+def walk_tables(chain: RecodedChain, transition: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Edge-slot tables of the walk kernel: ``(W, dst, cum)``.
 
-    ``cum[s, i]`` is the cumulative probability of the first ``i + 1``
-    successors for ``i < deg - 1`` and ``+inf`` beyond, so the successor
-    index is the count of thresholds below the uniform draw.
+    ``W`` is the largest degree rounded up to a power of two.  Slot
+    ``s * W + i`` is state ``s``'s ``i``-th successor ``dst[slot]``, and
+    ``cum[slot]`` the cumulative probability of its first ``i + 1``
+    successors, ``+inf`` from ``i = deg(s) - 1`` on.  A row of ``cum`` is a
+    cumsum of non-negative floats padded with ``+inf``, so it never
+    decreases: a binary search counts the thresholds at or below a uniform
+    exactly as comparing the whole row would.
     """
     succ, degree = chain.successor_table
-    cum = np.full((chain.num_states, max(succ.shape[1] - 1, 1)), np.inf)
+    W = 1 << (int(degree.max()) - 1).bit_length()
+    dst = np.zeros((chain.num_states, W), dtype=np.intp)
+    dst[:, : succ.shape[1]] = succ
+    cum = np.full((chain.num_states, W), np.inf)
     for s, d in enumerate(degree):
         cum[s, : d - 1] = np.cumsum(transition[s, succ[s, :d]])[:-1]
-    return succ, cum
+    return W, dst.ravel(), cum.ravel()
 
 
-def markov_walks(chain: RecodedChain, transition: np.ndarray, start_index: int, steps: int,
+def markov_walks(tables: tuple[int, np.ndarray, np.ndarray], start_index: int, steps: int,
                  count: int, seed: int = 0, first: int = 0):
     """Walks of ``steps`` transitions from ``start_index``, one per sample
-    index ``first .. first + count - 1``.
+    index ``first .. first + count - 1``, on the :func:`walk_tables` ``tables``.
 
     Index ``i`` reads row ``i % CHUNK_ROWS`` of counter block ``i // CHUNK_ROWS``,
     so its walk depends only on (seed, i, steps).  The requested rows of a
     counter block are drawn in sub-blocks of at most ``MAX_UNIFORMS``
-    uniforms, one ``(rows, steps)`` array each, and ``(rows, j, cur, nxt)``
+    uniforms, one ``(rows, steps)`` array each, and ``(rows, j, slot)``
     yielded for ``j = 1 .. steps``: ``rows`` slices the sub-block's walks
-    (counted from ``first``), ``cur``/``nxt`` are their states before/after
-    step ``j``.
+    (counted from ``first``) and ``slot`` holds the edge slot each took at
+    step ``j``, from state ``slot // W`` to ``dst[slot]``.  A step is a
+    branchless binary search of ``log2 W`` levels over ``cum``, so every
+    walk is bit for bit that of a plain inverse-CDF draw.
     """
-    succ, cum = _sampling_tables(chain, transition)
+    W, dst, cum = tables
+    base = dst * W
+    levels = [(h, cum[h - 1:]) for h in (W >> k for k in range(1, W.bit_length()))]
     lo, end = first, first + count
     while lo < end:
         block, row = divmod(lo, CHUNK_ROWS)
         hi = min(end, (block + 1) * CHUNK_ROWS, lo + max(1, MAX_UNIFORMS // max(steps, 1)))
         U = _uniform_block(seed, block, row, hi - lo, steps)
         rows = slice(lo - first, hi - first)
-        cur = np.full(hi - lo, start_index, dtype=np.int64)
+        slot = np.full(hi - lo, start_index * W, dtype=np.intp)
         for j in range(1, steps + 1):
-            nxt = succ[cur, (U[:, j - 1, None] >= cum[cur]).sum(axis=1)]
-            yield rows, j, cur, nxt
-            cur = nxt
+            u = np.ascontiguousarray(U[:, j - 1])  # read once per search level
+            for h, c in levels:
+                slot += h * (u >= c.take(slot))
+            yield rows, j, slot
+            slot = base.take(slot)
         lo = hi
 
 
@@ -372,9 +385,10 @@ def sample_paths(mu: LeafMeasure, n: int, count: int, seed: int = 0) -> np.ndarr
         raise ValueError("n must be >= 1")
     out = np.empty((count, n), dtype=np.int16)
     out[:, 0] = mu.start_symbol
-    last_sym = mu.chain.last_symbols()
-    for rows, j, _, nxt in markov_walks(mu.chain, mu.transition, mu.start_index, n - 1, count, seed):
-        out[rows, j] = last_sym[nxt]
+    tables = walk_tables(mu.chain, mu.transition)
+    sym = mu.chain.last_symbols()[tables[1]]
+    for rows, j, slot in markov_walks(tables, mu.start_index, n - 1, count, seed):
+        out[rows, j] = sym.take(slot)
     return out
 
 
@@ -386,6 +400,7 @@ def sample_path(mu: LeafMeasure, n: int, seed: int = 0, index: int = 0) -> Word:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    last_sym = mu.chain.last_symbols()
-    walk = markov_walks(mu.chain, mu.transition, mu.start_index, n - 1, 1, seed, first=index)
-    return (mu.start_symbol,) + tuple(int(last_sym[nxt[0]]) for _, _, _, nxt in walk)
+    tables = walk_tables(mu.chain, mu.transition)
+    sym = mu.chain.last_symbols()[tables[1]]
+    walk = markov_walks(tables, mu.start_index, n - 1, 1, seed, first=index)
+    return (mu.start_symbol,) + tuple(int(sym[slot[0]]) for _, _, slot in walk)

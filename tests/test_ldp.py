@@ -830,6 +830,35 @@ def test_mc_memory_is_capped(fs2):
     assert peak < 32 << 20
 
 
+def test_mc_bits_pinned_on_golden_mean(gm):
+    """(mass, stderr) pinned bit for bit: the goldens cover MC on fs2 only,
+    and a walk kernel that moves one sampled bit shows here."""
+    mu = leaf_measure(gm, Potential.zero(gm), (0,))
+    p = deviation_mass_mc(mu, Potential.indicator(gm, 1), Interval(0.4, 0.5), 20, 20000,
+                          tilt=-0.5, seed=3)
+    assert (p.mass, p.stderr) == (0.08059951993735495, 0.004261094982064112)
+
+
+def test_mc_bits_pinned_on_memory3_chain():
+    """Same pin on a 36-state memory-3 chain of degree 3 (so the search pads
+    each row to 4 slots) with an integer observable and its tilted walk."""
+    A = [[1, 1, 0, 1], [1, 0, 1, 1], [0, 1, 1, 1], [1, 1, 1, 0]]
+    spec = validate_spec(A)
+    rng = np.random.default_rng(17)
+    words = [w for w in itertools.product(range(4), repeat=3) if A[w[0]][w[1]] and A[w[1]][w[2]]]
+    G = Potential(3, {w: float(rng.normal()) for w in words})
+    phi = Potential(3, {w: int(rng.integers(0, 4)) for w in words})
+    mu = leaf_measure(spec, G, words[7])
+    iv = Interval(2.0, 3.0)
+    tilted = deviation_mass_mc(mu, phi, iv, 16, 20000, tilt=0.75, seed=5)
+    assert (tilted.mass, tilted.stderr) == (0.1308197105036385, 0.007768094864133509)
+    naive = deviation_mass_mc(mu, phi, iv, 16, 20000, seed=5)
+    assert (naive.mass, naive.stderr) == (0.14085, 0.002459850893513856)
+    exact = deviation_mass_exact(mu, phi, iv, 16).mass
+    assert abs(tilted.mass - exact) <= 4 * tilted.stderr
+    assert abs(naive.mass - exact) <= 4 * naive.stderr
+
+
 @pytest.mark.parametrize("interval, n, exact", [
     (Interval(0.1, 1.0, closed_lo=False), 3, 0.875),
     (Interval(0.1, 1.0), 6, 1.0),

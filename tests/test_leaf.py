@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,21 +8,26 @@ import pytest
 from ldplab import (
     InadmissiblePast,
     InconsistentStart,
+    Interval,
     NoConvergence,
     Potential,
+    TiltFamily,
     WordTooShort,
     birkhoff_sum,
     bowen_ball_mass,
     cylinder_mass,
+    deviation_mass_mc,
     gibbs_ratio_audit,
     leaf_measure,
     sample_path,
     sample_paths,
     unstable_leaf_words,
+    validate_spec,
 )
 
 from ldplab import leaf
-from ldplab.leaf import CHUNK_ROWS, MAX_UNIFORMS
+from ldplab.leaf import CHUNK_ROWS, MAX_UNIFORMS, _uniform_block
+from ldplab.thermo import phi_vector
 
 from conftest import GOLDEN_RATIO, bernoulli_potential
 
@@ -328,3 +334,94 @@ def test_sampler_cylinder_frequencies_match_masses(gm):
     # No mass outside the admissible support.
     admissible = {int("".join(map(str, w)), 2) for w in unstable_leaf_words(gm, 0, n)}
     assert set(observed) <= admissible
+
+
+def _random_spec(rng, m, max_degree):
+    """A primitive m-symbol shift whose largest out-degree is ``max_degree``:
+    each symbol steps to itself, to its successor mod m and to random extras,
+    and symbol 0 has exactly ``max_degree`` successors."""
+    A = np.zeros((m, m), dtype=int)
+    for a in range(m):
+        k = max_degree if a == 0 else int(rng.integers(2, max_degree + 1))
+        others = [b for b in range(m) if b not in (a, (a + 1) % m)]
+        A[a, [a, (a + 1) % m]] = 1
+        A[a, rng.choice(others, size=k - 2, replace=False)] = 1
+    return validate_spec(A)
+
+
+def _walk_cases():
+    """(leaf, integer observable): the one-symbol shift (one slot, no
+    search level), the golden mean (a degree-1 state) and random chains of
+    largest degree 3, 5 and 16 (padded rows, up to four search levels)."""
+    one = validate_spec([[1]])
+    gm = validate_spec([[1, 1], [1, 0]])
+    cases = [pytest.param(leaf_measure(one, Potential.zero(one), (0,)), Potential(1, {(0,): 1}),
+                          id="one-symbol"),
+             pytest.param(leaf_measure(gm, Potential.zero(gm), (0,)), Potential.indicator(gm, 1),
+                          id="golden")]
+    for m, degree, block in ((5, 3, 1), (7, 5, 2), (20, 16, 1)):
+        rng = np.random.default_rng(degree)
+        spec = _random_spec(rng, m, degree)
+        G = Potential(1, {(a,): float(rng.normal()) for a in range(m)})
+        obs = Potential(1, {(a,): int(rng.integers(0, 4)) for a in range(m)})
+        mu = leaf_measure(spec, G, (0,) * block, block=block)
+        assert int(mu.chain.adjacency.sum(axis=1).max()) == degree
+        cases.append(pytest.param(mu, obs, id=f"m={m},degree={degree},block={block}"))
+    return cases
+
+
+def _reference_walks(chain, P, start, steps, count, seed):
+    """States of walks 0 .. count - 1, drawn one row and one step at a time by
+    inverse-CDF search over each state's successors in increasing order."""
+    U = _uniform_block(seed, 0, 0, count, steps)
+    states = np.empty((count, steps + 1), dtype=np.int64)
+    for r in range(count):
+        s = states[r, 0] = start
+        for j in range(steps):
+            succ = np.flatnonzero(chain.adjacency[s])
+            s = states[r, j + 1] = succ[np.searchsorted(np.cumsum(P[s, succ])[:-1], U[r, j],
+                                                        side="right")]
+    return states
+
+
+def _reference_mc(mu, obs, interval, n, count, seed, tilt):
+    """``deviation_mass_mc`` recomputed from reference walks: the log ratio is
+    accumulated per step in walk order and membership decided on exact sums."""
+    chain, K = mu.chain, mu.chain.block
+    P = mu.transition
+    if tilt is not None:
+        fam = TiltFamily(chain, chain.adjacency.astype(np.float64),
+                         phi_vector(chain, mu.potential), phi_vector(chain, obs))
+        P = fam.measure(tilt).transition
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log(np.where(chain.adjacency > 0, mu.transition / P, 1.0))
+    states = _reference_walks(chain, P, mu.start_index, n + K - 1, count, seed)
+    z = [int(v) for v in phi_vector(chain, obs)]
+    loglr = np.zeros(count)
+    w = np.empty(count)
+    for r in range(count):
+        for j in range(1, n + K):
+            loglr[r] += log_ratio[states[r, j - 1], states[r, j]]
+        w[r] = float(interval.contains(Fraction(sum(z[t] for t in states[r, K:]), n)))
+    if tilt is not None:
+        w = w * np.exp(loglr)
+    est = float(w.sum()) / count
+    var = max(float((w * w).sum()) - count * est * est, 0.0) / (count - 1)
+    return est, math.sqrt(var / count)
+
+
+@pytest.mark.parametrize("mu, obs", _walk_cases())
+def test_walk_kernel_matches_reference_sampler(mu, obs):
+    """The slot-indexed kernel with its binary search draws, bit for bit, the
+    walks of a plain per-row inverse-CDF sampler, for paths and for tilted
+    and untilted Monte Carlo masses."""
+    n, count, seed = 9, 150, 21
+    states = _reference_walks(mu.chain, mu.transition, mu.start_index, n - 1, count, seed)
+    want = mu.chain.last_symbols()[states]
+    assert (sample_paths(mu, n, count, seed=seed) == want).all()
+    for i in (0, 77, count - 1):
+        assert sample_path(mu, n, seed=seed, index=i) == tuple(want[i])
+    iv = Interval(1 / 3, 2.0)
+    for tilt in (None, 0.6):
+        got = deviation_mass_mc(mu, obs, iv, n, count, tilt=tilt, seed=seed)
+        assert (got.mass, got.stderr) == _reference_mc(mu, obs, iv, n, count, seed, tilt)
