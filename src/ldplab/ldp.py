@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, DegenerateFit, EmptyInterval, IncompatibleSupport
+from .errors import BudgetExceeded, DegenerateFit, EmptyInterval, IncompatibleSupport, NoConvergence
 from .leaf import LeafMeasure, expand_word_tree, leaf_word_counts, markov_walks, walk_tables
 from .sft import Potential, SubshiftSpec
 from .thermo import (MarkovMeasure, RecodedChain, TiltFamily, entropy, integrate, phi_vector,
@@ -47,27 +47,42 @@ def q_derivative(spec: SubshiftSpec, base: Potential, obs: Potential, t: float) 
 # Ergodic range (min/max mean cycle)
 
 
-def _min_mean_cycle(src: np.ndarray, dst: np.ndarray, weights: np.ndarray) -> float:
-    """Minimum mean cycle of a strongly connected edge list, weights on the
-    source node: Karp's ``min_v max_k (D_n(v) - D_k(v)) / (n - k)`` with
-    ``D_k(v)`` the least weight of a k-edge walk from node 0 to ``v``, in
-    O(n * edges) time."""
-    n = len(weights)
-    D = np.full((n + 1, n), np.inf)
-    D[0, 0] = 0.0
-    edge_w = weights[src]
-    for k in range(n):
-        np.minimum.at(D[k + 1], dst, D[k, src] + edge_w)
-    # Nodes that n-edge walks reach; a D_k(v) = inf there gives -inf.
-    D = D[:, np.isfinite(D[n])]
-    return float(((D[n] - D[:n]) / (n - np.arange(n))[:, None]).max(axis=0).min())
-
-
 def _cycle_range(chain: RecodedChain, w: np.ndarray) -> tuple[float, float]:
+    """Minimum and maximum mean cycle of ``w`` (weights on the source state)
+    by Karp's ``min_v max_k (D_n(v) - D_k(v)) / (n - k)``, with ``D_k(v)``
+    the least weight of a k-edge walk from state 0 to ``v``.  One O(n *
+    edges) sweep relaxes ``w`` and ``-w`` on two copies of the edge list."""
     succ, degree = chain.successor_table
-    src = np.repeat(np.arange(chain.num_states), degree)
+    n = chain.num_states
+    src = np.repeat(np.arange(n), degree)
     dst = succ[np.arange(succ.shape[1]) < degree[:, None]]
-    return _min_mean_cycle(src, dst, w), float(-_min_mean_cycle(src, dst, -w))
+    src2, dst2 = np.concatenate((src, src + n)), np.concatenate((dst, dst + n))
+    edge_w = np.concatenate((w[src], -w[src]))
+    D = np.full((n + 1, 2 * n), np.inf)
+    D[0, [0, n]] = 0.0
+    for k in range(n):
+        np.minimum.at(D[k + 1], dst2, D[k, src2] + edge_w)
+    means = []
+    for Dc in np.hsplit(D, 2):
+        # States that n-edge walks reach; a D_k(v) = inf there gives -inf.
+        Dc = Dc[:, np.isfinite(Dc[n])]
+        means.append(float(((Dc[n] - Dc[:n]) / (n - np.arange(n))[:, None]).max(axis=0).min()))
+    return means[0], -means[1]
+
+
+def _alpha_range(fam: TiltFamily, alpha: float) -> tuple[float, float]:
+    """``(q'(-1), q'(1))`` if ``alpha`` lies more than ``solve_mean``'s
+    tolerance 1e-10 inside it, else (or if either solve fails) the ergodic
+    range.  Each q'(t) is an invariant mean, so in the first case ``alpha``
+    is strictly inside the ergodic range, which is wider than 1e-13."""
+    try:
+        lo, hi = fam.q_prime(-1.0), fam.q_prime(1.0)
+    except NoConvergence:
+        pass
+    else:
+        if lo + 1e-10 < alpha < hi - 1e-10:
+            return lo, hi
+    return _cycle_range(fam.chain, fam.pvec)
 
 
 def ergodic_range(spec: SubshiftSpec, obs: Potential) -> tuple[float, float]:
@@ -114,8 +129,13 @@ def rate_scalar(spec: SubshiftSpec, base: Potential, obs: Potential, alpha: floa
     Computed as the Legendre transform ``sup_t (t * alpha - q(t))`` by
     solving ``q'(t) = alpha``; ``+inf`` outside the closed ergodic range,
     and the monotone limit (evaluated at the capped bracket) at its ends.
+    The value is ``rate_curve``'s, but Karp's range is computed only if
+    ``alpha`` is not more than 1e-10 inside ``(q'(-1), q'(1))``, solved
+    first anyway, or if either of those solves fails.
     """
-    return rate_curve(spec, base, obs, [alpha]).values[0]
+    fam = TiltFamily.of(spec, base, obs)
+    alpha = float(alpha)
+    return _rate_point(fam, _alpha_range(fam, alpha), alpha)[0]
 
 
 def rate_curve(spec: SubshiftSpec, base: Potential, obs: Potential,
@@ -169,7 +189,7 @@ def contraction_check(spec: SubshiftSpec, base: Potential, obs: Potential, alpha
     with equality (within 1e-6) at the tilted equilibrium measure itself.
     """
     fam = TiltFamily.of(spec, base, obs)
-    amin, amax = _cycle_range(fam.chain, fam.pvec)
+    amin, amax = _alpha_range(fam, alpha)
     if not amin < alpha < amax:
         raise ValueError(f"alpha {alpha} outside the open ergodic range ({amin}, {amax})")
     t, _ = fam.solve_mean(alpha)
@@ -516,7 +536,7 @@ def recommended_tilt(spec: SubshiftSpec, base: Potential, obs: Potential,
     if interval.contains(mean):
         return 0.0
     target = interval.lo if mean < interval.lo else interval.hi
-    amin, amax = _cycle_range(fam.chain, fam.pvec)
+    amin, amax = _alpha_range(fam, target)
     target = min(max(target, amin), amax)
     t, _ = fam.solve_mean(target)
     return t

@@ -173,9 +173,10 @@ _SHIFT = 1e-12
 _STALL = 8
 #: :class:`TiltFamily` starts the solve of a chain with at most this many
 #: states from :func:`_dense_start`.  With one BLAS thread on a 2-core x86
-#: VM, random tilted chains solve in 0.4 ms from that start against 0.7 ms
-#: from a flat one at 30 to 32 states; the two tie at about 41 states, and
-#: at 62 the two ``eig`` calls alone cost twice a flat solve.
+#: VM, random tilted chains of 30 to 32 states solve in 0.66-0.95 ms from
+#: that start, its one ``eig`` call included, against 0.84-1.16 ms from a
+#: flat one; the two tie at 34 to 42 states, and at 60 to 64 states the
+#: ``eig`` call alone costs 1.4 times a flat solve.
 _DENSE_START = 32
 
 
@@ -190,9 +191,8 @@ def _collatz_wielandt(h: np.ndarray, v: np.ndarray, mh: np.ndarray,
     positive and is ``inf`` when one has underflowed to zero.
     """
     def bounds(x: np.ndarray, mx: np.ndarray) -> tuple[float, float]:
-        pos = x > 0
-        ratio = mx[pos] / x[pos]
-        return float(ratio.min()), (float(ratio.max()) if pos.all() else math.inf)
+        ratio = mx / x if x.min() > 0 else mx[x > 0] / x[x > 0]
+        return float(ratio.min()), (float(ratio.max()) if len(ratio) == len(x) else math.inf)
 
     lo_h, hi_h = bounds(h, mh)
     lo_v, hi_v = bounds(v, vm)
@@ -241,10 +241,10 @@ def _dense_start(matrix: np.ndarray) -> tuple[np.ndarray, ...] | None:
     its real part; ``None`` if LAPACK fails or an entry is not finite and
     positive."""
     try:
-        pair = tuple(np.abs(vecs[:, np.argmax(w.real)].real)
-                     for w, vecs in map(np.linalg.eig, (matrix, matrix.T)))
+        vals, vecs = np.linalg.eig(np.stack((matrix, matrix.T)))
     except np.linalg.LinAlgError:
         return None
+    pair = tuple(np.abs(x[:, np.argmax(w.real)].real) for w, x in zip(vals, vecs))
     return pair if all(np.all((x > 0) & (x < math.inf)) for x in pair) else None
 
 
@@ -273,31 +273,35 @@ def rpf_solve(M: WeightedMatrix, tol: float = 1e-13, start: tuple[np.ndarray, ..
     iterate from instead of the flat vectors.  It is kept only if its own
     Collatz-Wielandt bracket is already narrower than ``tol`` (relative);
     otherwise it costs two matvecs and the solve is the flat-start solve,
-    bit for bit.  A kept start usually passes the residual test at once.
+    bit for bit.  A kept start usually passes the residual test at once;
+    its two products serve the first step and, if the solve stops there,
+    its bracket is returned, as is the bracket of an inverse-phase stop.
     """
     M.chain.primitivity_power()  # raises NotPrimitive on hand-built chains
     matrix = M.matrix
     n = matrix.shape[0]
     h = np.full(n, 1.0 / n)
     v = np.full(n, 1.0 / n)
+    products = bracket = None  # (M h, v M) and bracket of the current (h, v), once known
     if start is not None:
-        lo, hi = _collatz_wielandt(*start, matrix @ start[0], start[1] @ matrix)
+        gate = matrix @ start[0], start[1] @ matrix
+        lo, hi = _collatz_wielandt(*start, *gate)
         if hi - lo <= tol * lo:
-            h, v = start
+            (h, v), products, bracket = start, gate, (lo, hi)
     history: deque[float] = deque(maxlen=_WINDOW + 1)
     work = None  # allocated on switching to inverse iteration
     best_res = best_width = math.inf
     stalls = 0
     for it in range(1, max_iter + 1):
-        mh = matrix @ h
-        vm = v @ matrix
+        mh, vm = products or (matrix @ h, v @ matrix)
         lam = float(v @ mh) / float(v @ h)
         if lam <= 0 or not math.isfinite(lam):
             raise NoConvergence(f"degenerate eigenvalue estimate {lam}")
-        res = max(float(np.max(np.abs(mh - lam * h))) / (lam * float(np.max(h))),
-                  float(np.max(np.abs(vm - lam * v))) / (lam * float(np.max(v))))
+        res = max(float(np.abs(mh - lam * h).max()) / (lam * float(h.max())),
+                  float(np.abs(vm - lam * v).max()) / (lam * float(v.max())))
         if res <= tol:
             break
+        products = bracket = None  # h and v move on below
         if work is None:
             history.append(res)
             if not _power_stalls(history, tol, n):
@@ -310,6 +314,7 @@ def rpf_solve(M: WeightedMatrix, tol: float = 1e-13, start: tuple[np.ndarray, ..
         lo, hi = _collatz_wielandt(h, v, mh, vm)
         width = (hi - lo) / lo
         if width <= tol:
+            bracket = lo, hi
             break
         # From a poor vector the shift starts far above lam; the bracket
         # then narrows step by step while the residual stays near 1.
@@ -325,7 +330,7 @@ def rpf_solve(M: WeightedMatrix, tol: float = 1e-13, start: tuple[np.ndarray, ..
     else:
         raise NoConvergence(f"Perron solve did not reach residual {tol} in {max_iter} steps")
     # Each ratio is a sum of at most n non-negative products and a division.
-    lo, hi = _collatz_wielandt(h, v, mh, vm)
+    lo, hi = bracket or _collatz_wielandt(h, v, mh, vm)
     slack = (n + 2) * float(np.finfo(np.float64).eps)
     v = v / v.sum()
     return RPFData(lam, h / float(v @ h), v, res, it, lo * (1.0 - slack), hi * (1.0 + slack))
@@ -455,7 +460,7 @@ class TiltFamily:
         """Exact pressure derivative ``left @ (right * pvec)``; raises
         :class:`NoConvergence` if a Perron vector entry underflowed to 0."""
         rpf = self.rpf(t)
-        if not (np.all(rpf.right > 0) and np.all(rpf.left > 0)):
+        if not (rpf.right.min() > 0 and rpf.left.min() > 0):
             raise NoConvergence("Perron vector entries underflow, so the tilted mean is undefined")
         return float(rpf.left @ (rpf.right * self.pvec))
 

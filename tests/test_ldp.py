@@ -15,6 +15,7 @@ from ldplab import (
     EmptyInterval,
     IncompatibleSupport,
     Interval,
+    LdplabError,
     MarkovMeasure,
     NoConvergence,
     Potential,
@@ -203,6 +204,8 @@ def test_ergodic_range_is_bit_identical_to_dense_karp():
         for vals in (rng.normal(size=len(words)), rng.integers(-3, 4, size=len(words))):
             phi = Potential(memory, {w: float(v) for w, v in zip(words, vals)})
             assert ergodic_range(spec, phi) == _dense_karp_range(spec, phi)
+            assert rate_curve(spec, Potential.zero(spec), phi, []).alpha_range == \
+                _dense_karp_range(spec, phi)
 
 
 def test_ergodic_range_memory_two(gm):
@@ -283,6 +286,79 @@ def test_rate_curve_invariants(gm):
     above = vals[np.array(curve.alphas) >= mean]
     assert (np.diff(below) <= 1e-10).all()   # nonincreasing below the mean
     assert (np.diff(above) >= -1e-10).all()  # nondecreasing above it
+
+
+def _same_rates(spec, base, obs, alphas):
+    """``rate_scalar`` against ``rate_curve(...).values[0]`` at each alpha,
+    compared with ``==``; a :class:`NoConvergence` must be raised by both."""
+    def outcome(call):
+        try:
+            return call()
+        except NoConvergence:
+            return "NoConvergence"
+
+    for a in alphas:
+        assert outcome(lambda: rate_scalar(spec, base, obs, a)) == \
+            outcome(lambda: rate_curve(spec, base, obs, [a]).values[0]), a
+
+
+def test_rate_scalar_is_rate_curve_bit_for_bit():
+    """``rate_scalar`` runs Karp only where q'(-1) and q'(1) do not certify
+    alpha interior; its value must still be ``rate_curve``'s to the bit: at
+    and one ulp either side of the range ends, at q'(+-1) +- 1e-10 and
+    2e-10, outside the range and at interior points on either side of
+    q'(1), on random primitive chains of memory 1-3 with 2 to 60 states."""
+    rng = np.random.default_rng(20261018)
+    checked = 0
+    while checked < 8:
+        m, k = int(rng.integers(2, 8)), int(rng.integers(1, 4))
+        try:
+            spec = validate_spec((rng.random((m, m)) < 0.6).astype(int))
+        except LdplabError:
+            continue
+        states = recode(spec, k).states
+        if len(states) > 60:
+            continue
+        checked += 1
+        G = Potential(k, dict(zip(states, 2.0 * rng.standard_normal(len(states)))))
+        phi = Potential(k, dict(zip(states, rng.standard_normal(len(states)))))
+        lo, hi = ergodic_range(spec, phi)
+        fam = TiltFamily.of(spec, G, phi)
+        qm, qp = fam.q_prime(-1.0), fam.q_prime(1.0)
+        ends = [x for e in (lo, hi) for x in (e, np.nextafter(e, -math.inf), np.nextafter(e, math.inf))]
+        near_q = [q + d for q in (qm, qp) for d in (-2e-10, -1e-10, 1e-10, 2e-10)]
+        inner = [0.5 * (lo + hi), 0.5 * (qm + qp), 0.25 * qm + 0.75 * qp, 0.5 * (qp + hi)]
+        _same_rates(spec, G, phi, [float(a) for a in ends + near_q + inner + [lo - 1.0, hi + 1.0]])
+
+
+def test_rate_of_observable_cohomologous_to_a_constant_is_exactly_zero(gm):
+    """obs = c + g(x_1) - g(x_0) has every invariant mean equal to c, so q'
+    is c up to rounding at every tilt and cannot certify any alpha interior;
+    Karp's range is exactly [c, c] (dyadic values) and the rate at c is 0.0."""
+    c, g = 0.75, (3.0, -2.0)
+    obs = Potential(2, {(a, b): c + g[b] - g[a] for a, b in itertools.product((0, 1), repeat=2)
+                        if (a, b) != (1, 1)})
+    G = Potential(1, {(0,): 0.3, (1,): -1.1})
+    assert ergodic_range(gm, obs) == (c, c)
+    assert rate_scalar(gm, G, obs, c) == 0.0
+    _same_rates(gm, G, obs, [c, c - 1e-10, c + 1e-10, c - 1.0, c + 1.0])
+
+
+def test_rate_scalar_falls_back_to_karp_when_q_prime_fails(fs2):
+    """The spec of ``test_rate_bracket_stops_where_perron_vector_underflows``
+    with phi scaled by 128, so q'(-1) and q'(1) underflow: outside the range
+    both paths return inf, inside both raise."""
+    G = Potential(2, dict(zip(itertools.product((0, 1), repeat=2), (-10.0, -38.0, -47.0, -30.0))))
+    phi = Potential(1, {(0,): 384.0, (1,): 0.0})
+    fam = TiltFamily.of(fs2, G, phi)
+    for t in (-1.0, 1.0):
+        with pytest.raises(NoConvergence):
+            fam.q_prime(t)
+    assert rate_scalar(fs2, G, phi, -1.0) == rate_scalar(fs2, G, phi, 400.0) == math.inf
+    for a in (0.0, 192.0, 384.0):
+        with pytest.raises(NoConvergence):
+            rate_scalar(fs2, G, phi, a)
+    _same_rates(fs2, G, phi, [-1.0, 0.0, 192.0, 384.0, 400.0])
 
 
 def test_tilt_family_raises_when_perron_vector_underflows(fs3_underflow):

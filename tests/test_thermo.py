@@ -24,8 +24,9 @@ from ldplab import (
     validate_spec,
     variational_gap,
 )
-from ldplab.thermo import (_DENSE_START, RecodedChain, TiltFamily, WeightedMatrix,
-                           stationary_distribution)
+from ldplab import thermo
+from ldplab.thermo import (_DENSE_START, RecodedChain, RPFData, TiltFamily, WeightedMatrix,
+                           _dense_start, stationary_distribution)
 
 from conftest import GOLDEN_RATIO, bernoulli_potential, golden_lambda
 
@@ -282,6 +283,104 @@ def test_dense_start_solves_whatever_the_flat_start_solves():
             if flat.upper - flat.lower <= 1e-12 * flat.lower:
                 assert dense.upper - dense.lower <= 1e-12 * dense.lower
                 assert dense.eigenvalue == pytest.approx(flat.eigenvalue, rel=1e-12, abs=0.0)
+
+
+def _two_eig_start(matrix):
+    """Reference for :func:`_dense_start`: one ``eig`` call per side."""
+    try:
+        pair = tuple(np.abs(vecs[:, np.argmax(w.real)].real)
+                     for w, vecs in map(np.linalg.eig, (matrix, matrix.T)))
+    except np.linalg.LinAlgError:
+        return None
+    return pair if all(np.all((x > 0) & (x < math.inf)) for x in pair) else None
+
+
+def _masked_bracket(h, v, mh, vm):
+    """Reference Collatz-Wielandt bracket: ratios over the positive entries."""
+    def bounds(x, mx):
+        pos = x > 0
+        ratio = mx[pos] / x[pos]
+        return float(ratio.min()), (float(ratio.max()) if pos.all() else math.inf)
+
+    (lo_h, hi_h), (lo_v, hi_v) = bounds(h, mh), bounds(v, vm)
+    return max(lo_h, lo_v), min(hi_h, hi_v)
+
+
+def _recomputing_rpf(M, tol, start):
+    """Reference for :func:`rpf_solve`: both products at every step and the
+    bracket once more after the loop, reusing nothing.  Also returns whether
+    the start was kept and whether the solve reached the inverse phase."""
+    matrix, n = M.matrix, M.matrix.shape[0]
+    h, v = np.full(n, 1.0 / n), np.full(n, 1.0 / n)
+    kept = False
+    if start is not None:
+        lo, hi = _masked_bracket(*start, matrix @ start[0], start[1] @ matrix)
+        if hi - lo <= tol * lo:
+            (h, v), kept = start, True
+    history, work, best_res, best_width, stalls = [], None, math.inf, math.inf, 0
+    for it in range(1, 10 ** 6):
+        mh, vm = matrix @ h, v @ matrix
+        lam = float(v @ mh) / float(v @ h)
+        if lam <= 0 or not math.isfinite(lam):
+            raise NoConvergence("degenerate eigenvalue estimate")
+        res = max(float(np.max(np.abs(mh - lam * h))) / (lam * float(np.max(h))),
+                  float(np.max(np.abs(vm - lam * v))) / (lam * float(np.max(v))))
+        if res <= tol:
+            break
+        if work is None:
+            history = (history + [res])[-thermo._WINDOW - 1:]
+            if not thermo._power_stalls(history, tol, n):
+                h, v = mh / mh.sum(), vm / vm.sum()
+                continue
+            if not (np.all(h > 0) and np.all(v > 0)):
+                raise NoConvergence("Perron vector entries underflow the double range")
+            work = np.empty_like(matrix)
+        lo, hi = _masked_bracket(h, v, mh, vm)
+        width = (hi - lo) / lo
+        if width <= tol:
+            break
+        if res < best_res or width < best_width:
+            best_res, best_width, stalls = min(res, best_res), min(width, best_width), 0
+        else:
+            stalls += 1
+            if stalls >= thermo._STALL:
+                raise NoConvergence("inverse iteration stalled")
+        shift = hi * (1.0 + thermo._SHIFT)
+        h = thermo._inverse_step(matrix, h, shift, work)
+        v = thermo._inverse_step(matrix.T, v, shift, work)
+    lo, hi = _masked_bracket(h, v, mh, vm)
+    slack = (n + 2) * float(np.finfo(np.float64).eps)
+    v = v / v.sum()
+    rpf = RPFData(lam, h / float(v @ h), v, res, it, lo * (1.0 - slack), hi * (1.0 + slack))
+    return rpf, kept, work is not None
+
+
+def test_tilt_solves_match_the_two_eig_recomputing_reference():
+    """One batched ``eig`` gives the two ``eig`` calls' start bit for bit, and
+    a solve that reuses the start gate's products and bracket, or the bracket
+    of an inverse-phase break, returns the reference's eigendata field by
+    field, on chains of at most ``_DENSE_START`` states with tilts that keep
+    the start, drop it, and reach the inverse phase."""
+    rng = np.random.default_rng(20261019)
+    seen = {"kept": 0, "dropped": 0, "inverse": 0, "raised": 0}
+    for fam in _small_families(rng, 45):
+        for t in (1.0, -10.0, 60.0, -120.0):
+            M = WeightedMatrix(fam.chain, fam.matrix * np.exp(fam.gvec + t * fam.pvec)[:, None])
+            start, want_start = _dense_start(M.matrix), _two_eig_start(M.matrix)
+            assert (start is None) == (want_start is None)
+            if start is not None:
+                assert all(np.array_equal(a, b) for a, b in zip(start, want_start))
+            try:
+                want, kept, inverse = _recomputing_rpf(M, fam.tol, want_start)
+            except NoConvergence:
+                seen["raised"] += 1
+                with pytest.raises(NoConvergence):
+                    fam.rpf(t)
+                continue
+            _same_rpf(fam.rpf(t), want)
+            seen["kept" if kept else "dropped"] += 1
+            seen["inverse"] += inverse
+    assert min(seen["kept"], seen["dropped"], seen["inverse"]) >= 5, seen
 
 
 # ---------------------------------------------------------------------------
