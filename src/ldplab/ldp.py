@@ -269,7 +269,7 @@ class Interval:
     closed_hi: bool = True
 
     def is_empty(self) -> bool:
-        return self.lo > self.hi or (self.lo == self.hi and not (self.closed_lo and self.closed_hi))
+        return not (self.lo < self.hi or (self.lo == self.hi and self.closed_lo and self.closed_hi))
 
     def contains(self, x: float) -> bool:
         return bool(self.contains_array(x))
@@ -354,20 +354,23 @@ def _detect_lattice(values: np.ndarray):
     return base, g, [int(d / g) for d in diffs]
 
 
-def _lattice_inside(interval: Interval, lattice, n: int) -> tuple[int, int]:
-    """Lattice sums ``zlo .. zhi`` whose average ``offset + gap * Z / n`` the
-    interval contains, by the rule every method shares: the exact average,
-    correctly rounded to a double, against the double endpoints (which is
-    what decimal bounds on a command line denote).  The rounded average does
-    not decrease with ``Z``, so bisection over ``0 .. n * max z`` finds them.
+def _lattice_inside(interval: Interval, lattice, n: int, slack=Fraction(0)) -> tuple[int, int]:
+    """Lattice sums ``zlo .. zhi`` whose bracket ``[avg - slack, avg + slack]``
+    about ``avg = offset + gap * Z / n`` the interval contains, by the rule
+    every method shares: each end, exact and correctly rounded to a double,
+    against the double endpoints (what decimal bounds on a command line
+    denote).  The rounded ends do not decrease with ``Z``, so bisection over
+    ``0 .. n * max z`` finds them.  A negative slack gives the sums whose
+    bracket meets the interval.
     """
     offset, gap, z = lattice
 
-    def rank(Z: int) -> int:
-        return _rank(interval, float(offset + gap * Fraction(Z, n)))
+    def rank(Z: int, shift: Fraction) -> int:
+        return _rank(interval, float(offset + gap * Fraction(Z, n) + shift))
 
     sums = range(n * max(z) + 1)
-    return bisect.bisect_left(sums, 1, key=rank), bisect.bisect_left(sums, 2, key=rank) - 1
+    return (bisect.bisect_left(sums, 1, key=lambda Z: rank(Z, -slack)),
+            bisect.bisect_left(sums, 2, key=lambda Z: rank(Z, slack)) - 1)
 
 
 def _walk_sums(pvec: np.ndarray, lattice, interval: Interval, n: int):
@@ -420,42 +423,35 @@ def _lattice_masses(mu: LeafMeasure, z: Sequence[int], n: int, zlo: int, zhi: in
 
 def _dp_point(mu: LeafMeasure, pvec: np.ndarray, lattice, interval: Interval, n: int,
               budget: float, bin_width: float) -> DeviationPoint:
-    """Lattice DP on ``lattice`` (from :func:`_detect_lattice`), or the
-    certified binned DP at ``bin_width`` when it is None."""
-    if lattice is not None:
-        offset, gap, z = lattice
-    else:
+    """Lattice DP on ``lattice`` (from :func:`_detect_lattice`), or when it is
+    None the same DP on ``bin_width`` bins, each sum's true average within
+    ``slack`` of the bins' (zero on a lattice): ``mass_high`` adds the sums
+    whose bracket meets the interval, ``mass_low`` those it contains."""
+    binned, slack = lattice is None, Fraction(0)
+    if binned:
         unit = Fraction(bin_width)
         raw = [int(round(float(v) / bin_width)) for v in pvec]
         zmin = min(raw)
         # The common factor of the bins changes no bracket; dividing it out shrinks the DP.
         g = math.gcd(*(r - zmin for r in raw)) or 1
-        z = [(r - zmin) // g for r in raw]
-        offset, gap = unit * zmin, unit * g
-        avg_slack = max(abs(Fraction(float(v)) - unit * r) for v, r in zip(pvec, raw))
+        lattice = unit * zmin, unit * g, [(r - zmin) // g for r in raw]
+        slack = max(abs(Fraction(float(v)) - unit * r) for v, r in zip(pvec, raw))
+    _, gap, z = lattice
     cells = mu.chain.num_states * (n * max(z) + 1)
     if cells > budget:
         raise BudgetExceeded(f"lattice dynamic program needs {cells} cells, budget {budget:.3g}")
 
-    if lattice is not None:
-        masses = _lattice_masses(mu, z, n, *_lattice_inside(interval, lattice, n))
-        # Added one by one in order, as np.sum's pairwise order would round differently.
-        low = high = float(np.cumsum(masses)[-1]) if masses.size else 0.0
-    else:
-        masses = _lattice_masses(mu, z, n, 0, n * max(z))
-        low = high = 0.0
-        for Z in np.flatnonzero(masses):
-            avg = offset + gap * Fraction(int(Z), n)
-            lo_val, hi_val = float(avg - avg_slack), float(avg + avg_slack)
-            if _rank(interval, hi_val) > 0 and _rank(interval, lo_val) < 2:  # the range meets it
-                high += float(masses[Z])
-                if interval.contains(lo_val) and interval.contains(hi_val):
-                    low += float(masses[Z])
+    zlo, zhi = _lattice_inside(interval, lattice, n, -slack)
+    masses = _lattice_masses(mu, z, n, zlo, zhi)
+    ilo, ihi = _lattice_inside(interval, lattice, n, slack) if slack else (zlo, zhi)
+    # Added one by one in order, as np.sum's pairwise order would round differently.
+    low, high = (float(np.cumsum(m)[-1]) if m.size else 0.0
+                 for m in (masses[ilo - zlo:ihi - zlo + 1], masses))
     mass = 0.5 * (low + high)
     return DeviationPoint(
         n=n, mass=mass, log_mass=_log_or_neg_inf(mass),
-        method="dp-binned" if lattice is None else "dp-lattice",
-        mass_low=low, mass_high=high, bin_width=bin_width if lattice is None else float(gap),
+        method="dp-binned" if binned else "dp-lattice",
+        mass_low=low, mass_high=high, bin_width=bin_width if binned else float(gap),
     )
 
 
@@ -492,8 +488,9 @@ def deviation_mass_exact(mu: LeafMeasure, obs: Potential, interval: Interval, n:
     * ``dp``: dynamic program over (state, accumulated value).  Exact when
       the observable values sit on a common rational lattice (detected by
       exact rational reconstruction, denominator <= 1e6); otherwise values
-      are rounded to a ``bin_width`` lattice and certified lower/upper mass
-      brackets are returned, with boundary cells assigned pessimistically;
+      are rounded to a ``bin_width`` lattice (finite, > 0) and the same DP
+      returns certified brackets: ``mass_high`` adds the sums whose average
+      may lie in the interval, ``mass_low`` those whose average must;
     * ``auto``: lattice dp when available within budget, else enumeration
       within budget, else binned dp.
     """
@@ -501,6 +498,8 @@ def deviation_mass_exact(mu: LeafMeasure, obs: Potential, interval: Interval, n:
         raise EmptyInterval(f"interval {interval} is empty")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not (math.isfinite(bin_width) and bin_width > 0):
+        raise ValueError(f"bin_width must be finite and > 0, got {bin_width}")
     budget = DEFAULT_BUDGET if budget is None else float(budget)
     pvec = phi_vector(mu.chain, obs)
 

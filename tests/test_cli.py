@@ -257,6 +257,18 @@ def test_unknown_potential_gives_exit_one(capsys):
     assert json.loads(err.strip())["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("extra, error", [
+    (["--interval", "0.7:1", "--bin-width", "0"], "ValueError"),
+    (["--interval", "nan:1"], "EmptyInterval"),
+])
+def test_bad_deviation_parameters_give_exit_one(capsys, extra, error):
+    code, out, err = run_capture(
+        ["deviation-exact", "--spec", "specs/fs2.json", "--G", "zero", "--phi", "ind1",
+         "--past", "0", "--n", "10", "--mode", "dp", *extra], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err.strip())["error"] == error
+
+
 def test_usage_error_gives_exit_two(capsys):
     code, _, err = run_capture(["pressure", "--spec", "specs/fs2.json"], capsys)
     assert code == 2

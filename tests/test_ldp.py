@@ -726,23 +726,32 @@ def test_lattice_dp_matches_full_width_dp_on_gibbs_leaf(memory3_leaf):
             assert deviation_mass_exact(mu, phi, iv, n, mode="dp").mass == pytest.approx(ref, rel=1e-13)
 
 
-def _bern03_reference_bracket(mu, pvec, interval, n, bin_width=1e-3):
-    """The binned DP's bracket on the undivided z, over the full-width DP."""
-    gap = Fraction(bin_width)
+def _binned_reference_bracket(mu, pvec, interval, n, bin_width=1e-3, divide=True):
+    """The binned DP's bracket by the per-sum loop it replaced: the full-width
+    DP on the bins (divided by their common factor unless ``divide`` is
+    False), then one ``Fraction`` bracket per nonzero sum, added in order to
+    ``high`` when it meets the interval and to ``low`` when it lies inside."""
+    unit = Fraction(bin_width)
     raw = [int(round(float(v) / bin_width)) for v in pvec]
-    z = [r - min(raw) for r in raw]
-    avg_slack = max(abs(Fraction(float(v)) - gap * r) for v, r in zip(pvec, raw))
+    zmin = min(raw)
+    g = (math.gcd(*(r - zmin for r in raw)) or 1) if divide else 1
+    slack = max(abs(Fraction(float(v)) - unit * r) for v, r in zip(pvec, raw))
     low = high = 0.0
-    for Z, m in enumerate(_full_width_masses(mu, z, n)):
+    for Z, m in enumerate(_full_width_masses(mu, [(r - zmin) // g for r in raw], n)):
         if m == 0.0:
             continue
-        avg = gap * min(raw) + gap * Fraction(Z, n)
-        lo_val, hi_val = float(avg - avg_slack), float(avg + avg_slack)
+        avg = unit * zmin + unit * g * Fraction(Z, n)
+        lo_val, hi_val = float(avg - slack), float(avg + slack)
         if ldp._rank(interval, hi_val) > 0 and ldp._rank(interval, lo_val) < 2:
             high += float(m)
             if interval.contains(lo_val) and interval.contains(hi_val):
                 low += float(m)
     return low, high
+
+
+def _bern03_reference_bracket(mu, pvec, interval, n, bin_width=1e-3):
+    """The binned DP's bracket on the undivided z, over the full-width DP."""
+    return _binned_reference_bracket(mu, pvec, interval, n, bin_width, divide=False)
 
 
 def test_binned_dp_divides_out_the_common_factor(fs2):
@@ -767,6 +776,55 @@ def test_binned_dp_time_gate(fs2):
     elapsed = time.perf_counter() - start
     assert p.method == "dp-binned" and 0.0 < p.mass_low <= p.mass_high
     assert elapsed < 1.0
+
+
+def test_binned_dp_equals_the_per_sum_fraction_loop(fs2, memory3_leaf):
+    """The binned DP bisects for the run of sums whose bracket meets the
+    interval and the run whose bracket lies inside it, and adds each in
+    order; the loop it replaced tested every sum's bracket.  Bit for bit on
+    the 2-state chains and the dyadic leaf, within 1e-13 on the Gibbs leaf,
+    where dgemm may round a band in the last bit by its width."""
+    mu3, dyadic3, phi3 = memory3_leaf
+    mu2 = leaf_measure(fs2, Potential.zero(fs2), (0,))
+    off3 = Potential(3, {w: v * math.sqrt(2) / 100 for w, v in phi3.table.items()})
+    cases = [(mu2, Potential(1, {(0,): 0.0, (1,): math.log(2)}), True),
+             (mu2, bernoulli_potential(fs2, 0.3), True), (dyadic3, off3, True), (mu3, off3, False)]
+    for mu, obs, exact in cases:
+        pvec = phi_vector(mu.chain, obs)
+        assert _detect_lattice(pvec) is None
+        a, b = float(pvec.min()), float(pvec.max())
+        # _DP_INTERVALS on the values' range, one interval below it and one above it.
+        intervals = [Interval(a + (b - a) * iv.lo, a + (b - a) * iv.hi, iv.closed_lo, iv.closed_hi)
+                     for iv in _DP_INTERVALS] + [Interval(a - 1, a - 0.5), Interval(b + 0.5, b + 1)]
+        for iv, n, width in itertools.product(intervals, (1, 2, 3, 7, 20, 60), (1e-3, 1e-4)):
+            p = deviation_mass_exact(mu, obs, iv, n, mode="dp", bin_width=width)
+            assert p.method == "dp-binned"
+            ref = _binned_reference_bracket(mu, pvec, iv, n, width)
+            if exact:
+                assert (p.mass_low, p.mass_high) == ref, (iv, n, width)
+            else:
+                assert (p.mass_low, p.mass_high) == pytest.approx(ref, rel=1e-13, abs=0), (iv, n)
+
+
+def test_binned_dp_time_gate_on_gibbs_leaf(memory3_leaf):
+    """36 states, a standard-normal observable, bin 1e-3, n = 60: 4.4 s when
+    every nonzero sum got its own Fraction bracket."""
+    mu, _, phi = memory3_leaf
+    rng = np.random.default_rng(0)
+    obs = Potential(3, {w: float(rng.normal()) for w in phi.table})
+    start = time.perf_counter()
+    p = deviation_mass_exact(mu, obs, Interval(0.5, 1.0), 60, mode="dp")
+    elapsed = time.perf_counter() - start
+    assert p.method == "dp-binned" and 0.0 < p.mass_low <= p.mass_high
+    assert elapsed < 1.5
+
+
+@pytest.mark.parametrize("width", [0.0, -1e-3, math.nan, math.inf])
+def test_deviation_rejects_bad_bin_width(fs2, width):
+    mu = leaf_measure(fs2, Potential.zero(fs2), (0,))
+    with pytest.raises(ValueError, match="bin_width"):
+        deviation_mass_exact(mu, Potential.indicator(fs2, 1), Interval(0.7, 1.0), 10,
+                             bin_width=width)
 
 
 def test_auto_bins_when_lattice_dp_is_over_budget():
@@ -805,6 +863,16 @@ def test_deviation_rejects_empty_interval(fs2):
     mu = leaf_measure(fs2, Potential.zero(fs2), (0,))
     with pytest.raises(EmptyInterval):
         deviation_mass_exact(mu, Potential.indicator(fs2, 1), Interval(0.8, 0.2), 10)
+
+
+@pytest.mark.parametrize("interval", [Interval(math.nan, 1.0), Interval(0.7, math.nan)])
+def test_deviation_rejects_nan_endpoints(fs2, interval):
+    mu = leaf_measure(fs2, Potential.zero(fs2), (0,))
+    ind1 = Potential.indicator(fs2, 1)
+    with pytest.raises(EmptyInterval):
+        deviation_mass_exact(mu, ind1, interval, 10)
+    with pytest.raises(EmptyInterval):
+        deviation_mass_mc(mu, ind1, interval, 10, samples=10)
 
 
 def test_deviation_budget_exceeded(fs2):
@@ -1043,3 +1111,5 @@ def test_interval_parse_and_membership():
     assert Interval(0.5, 0.2).is_empty()
     assert Interval(0.3, 0.3, closed_lo=False).is_empty()
     assert not Interval(0.3, 0.3).is_empty()
+    assert Interval(math.nan, 1.0).is_empty() and Interval(0.7, math.nan).is_empty()
+    assert Interval(math.nan, math.nan).is_empty()
