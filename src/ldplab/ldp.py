@@ -32,42 +32,80 @@ DEFAULT_BUDGET = 10 ** 7
 # Tilted pressure family
 
 
+def _not_nan(name: str, x: float) -> float:
+    if math.isnan(x := float(x)):
+        raise ValueError(f"{name} must not be NaN")
+    return x
+
+
 def q_value(spec: SubshiftSpec, base: Potential, obs: Potential, t: float) -> float:
     """Scaled cumulant ``pressure(base + t*obs) - pressure(base)``; convex, q(0)=0."""
-    return TiltFamily.of(spec, base, obs).q(t)
+    return TiltFamily.of(spec, base, obs).q(_not_nan("t", t))
 
 
 def q_derivative(spec: SubshiftSpec, base: Potential, obs: Potential, t: float) -> float:
     """Derivative of the scaled cumulant: the mean of ``obs`` under the tilted
     equilibrium measure (no finite differences)."""
-    return TiltFamily.of(spec, base, obs).q_prime(t)
+    return TiltFamily.of(spec, base, obs).q_prime(_not_nan("t", t))
 
 
 # ---------------------------------------------------------------------------
 # Ergodic range (min/max mean cycle)
 
 
+#: Policy iterations :func:`_cycle_range` runs before it raises NoConvergence.
+_HOWARD_MAX_ITER = 1000
+#: Slack the stop test allows per edge, relative to the largest |weight| and |bias|.
+_HOWARD_SLACK = 2.0 ** -40
+
+
 def _cycle_range(chain: RecodedChain, w: np.ndarray) -> tuple[float, float]:
     """Minimum and maximum mean cycle of ``w`` (weights on the source state)
-    by Karp's ``min_v max_k (D_n(v) - D_k(v)) / (n - k)``, with ``D_k(v)``
-    the least weight of a k-edge walk from state 0 to ``v``.  One O(n *
-    edges) sweep relaxes ``w`` and ``-w`` on two copies of the edge list."""
+    by Howard's policy iteration on two copies of the successor table, with
+    ``w`` and ``-w``, in O(edges) memory.  A state moves to a successor whose
+    cycle mean is larger, or when none is (the chain is strongly connected,
+    so the means are then equal) whose bias is larger by more than the slack.
+    The stop test certifies that no cycle mean exceeds ``eta + slack``; each
+    end is the mean of the final policy's cycle, correctly rounded."""
     succ, degree = chain.successor_table
     n = chain.num_states
-    src = np.repeat(np.arange(n), degree)
-    dst = succ[np.arange(succ.shape[1]) < degree[:, None]]
-    src2, dst2 = np.concatenate((src, src + n)), np.concatenate((dst, dst + n))
-    edge_w = np.concatenate((w[src], -w[src]))
-    D = np.full((n + 1, 2 * n), np.inf)
-    D[0, [0, n]] = 0.0
-    for k in range(n):
-        np.minimum.at(D[k + 1], dst2, D[k, src2] + edge_w)
-    means = []
-    for Dc in np.hsplit(D, 2):
-        # States that n-edge walks reach; a D_k(v) = inf there gives -inf.
-        Dc = Dc[:, np.isfinite(Dc[n])]
-        means.append(float(((Dc[n] - Dc[:n]) / (n - np.arange(n))[:, None]).max(axis=0).min()))
-    return means[0], -means[1]
+    succ = np.where(np.arange(succ.shape[1]) < degree[:, None], succ, succ[:, :1])
+    S = np.concatenate((succ, succ + n))
+    wts, idx = np.concatenate((w, -w)), np.arange(2 * n)
+    flat, scale = idx * S.shape[1], float(np.abs(w).max())
+    levels = (2 * n - 1).bit_length()  # 2**levels steps reach a cycle and go round it
+    pol = S.ravel().take(flat + wts.take(S).argmax(axis=1))  # heaviest next state
+    for _ in range(_HOWARD_MAX_ITER):
+        # Pointer doubling: rep[v] is the least node of the cycle v reaches.
+        cyc, low = pol, idx
+        for _ in range(levels):
+            low, cyc = np.minimum(low, low.take(cyc)), cyc.take(cyc)
+        rep = low.take(cyc)
+        on = np.zeros(2 * n, dtype=bool)
+        on[cyc] = True
+        eta = (np.bincount(rep[on], wts[on], 2 * n).take(rep)
+               / np.bincount(rep[on], None, 2 * n).take(rep))  # mean of v's cycle
+        nxt = eta.take(S)
+        move = nxt.max(axis=1) > eta
+        if not move.any():
+            # Bias x[v] = wts[v] - eta + x[pol[v]], 0 at rep: sums of the walks to rep.
+            root = rep == idx
+            jump, x = np.where(root, idx, pol), np.where(root, 0.0, wts - eta)
+            for _ in range(levels):
+                x += x.take(jump)
+                jump = jump.take(jump)
+            nxt = x.take(S)
+            gain = wts - eta + nxt.max(axis=1) - x  # largest slack of v's edges
+            slack = _HOWARD_SLACK * (scale + float(np.abs(x).max()))
+            if gain.max() <= slack:
+                break
+            move = gain > slack
+        pol = np.where(move, S.ravel().take(flat + nxt.argmax(axis=1)), pol)
+    else:
+        raise NoConvergence(f"policy iteration did not stop within {_HOWARD_MAX_ITER} iterations")
+    hi, neg_lo = (float(sum(map(Fraction, vals.tolist()), Fraction(0)) / len(vals))
+                  for vals in (wts[on & (rep == rep[v])] for v in (0, n)))
+    return 0.0 - neg_lo, hi  # +0.0, not -0.0, for a zero minimum
 
 
 def _alpha_range(fam: TiltFamily, alpha: float) -> tuple[float, float]:
@@ -129,20 +167,20 @@ def rate_scalar(spec: SubshiftSpec, base: Potential, obs: Potential, alpha: floa
     Computed as the Legendre transform ``sup_t (t * alpha - q(t))`` by
     solving ``q'(t) = alpha``; ``+inf`` outside the closed ergodic range,
     and the monotone limit (evaluated at the capped bracket) at its ends.
-    The value is ``rate_curve``'s, but Karp's range is computed only if
+    The value is ``rate_curve``'s, but the ergodic range is computed only if
     ``alpha`` is not more than 1e-10 inside ``(q'(-1), q'(1))``, solved
-    first anyway, or if either of those solves fails.
+    first anyway, or if either of those solves fails.  NaN raises ValueError.
     """
+    alpha = _not_nan("alpha", alpha)
     fam = TiltFamily.of(spec, base, obs)
-    alpha = float(alpha)
     return _rate_point(fam, _alpha_range(fam, alpha), alpha)[0]
 
 
 def rate_curve(spec: SubshiftSpec, base: Potential, obs: Potential,
                alphas: Sequence[float]) -> RateCurve:
+    alphas = tuple(_not_nan("alpha", a) for a in alphas)
     fam = TiltFamily.of(spec, base, obs)
     alpha_range = _cycle_range(fam.chain, fam.pvec)
-    alphas = tuple(float(a) for a in alphas)
     pts = [_rate_point(fam, alpha_range, a) for a in alphas]
     return RateCurve(alphas, tuple(p[0] for p in pts), tuple(p[1] for p in pts),
                      tuple(p[2] for p in pts), alpha_range)
@@ -455,20 +493,37 @@ def _dp_point(mu: LeafMeasure, pvec: np.ndarray, lattice, interval: Interval, n:
     )
 
 
+#: Most leaf words one slice of the enumeration holds at its last level.
+_ENUM_CHUNK = 1 << 16
+
+
 def _enum_point(mu: LeafMeasure, pvec: np.ndarray, lattice, interval: Interval,
                 n: int) -> DeviationPoint:
     chain = mu.chain
     K = chain.block
+    depth = n + K - 1
     vals, member = _walk_sums(pvec, lattice, interval, n)
-    state = np.array([mu.start_index], dtype=np.int64)
-    logmass = np.zeros(1)
-    birk = np.zeros(1, dtype=vals.dtype)
-    for j in range(1, n + K):
-        par, new_state, logmass = expand_word_tree(chain, mu.log_transition, state, logmass)
-        birk = birk[par] + (vals[new_state] if j >= K else 0)
-        state = new_state
-    inside = member(birk)
-    mass = float(np.exp(logmass[inside]).sum()) if inside.any() else 0.0
+
+    def expand(state, logmass, birk, levels):
+        for j in levels:
+            par, state, logmass = expand_word_tree(chain, mu.log_transition, state, logmass)
+            birk = birk[par] + (vals[state] if j >= K else 0)
+        return logmass, birk, state
+
+    # Breadth-first until the subtrees below hold at most _ENUM_CHUNK words each
+    # (sizes[s] words `rest` levels below state s), then slice by slice.
+    A, sizes, rest = chain.adjacency.astype(np.float64), np.ones(chain.num_states), 0
+    while rest < depth and (nxt := A @ sizes).max() <= _ENUM_CHUNK:
+        sizes, rest = nxt, rest + 1
+    logmass, birk, state = expand(np.array([mu.start_index]), np.zeros(1),
+                                  np.zeros(1, dtype=vals.dtype), range(1, depth - rest + 1))
+    step = int(_ENUM_CHUNK // sizes.max())
+    masses = []
+    for i in range(0, len(state), step):
+        lm, b, _ = expand(state[i:i + step], logmass[i:i + step], birk[i:i + step],
+                          range(depth - rest + 1, depth + 1))
+        masses.append(float(np.exp(lm[member(b)]).sum()))
+    mass = math.fsum(masses)
     return DeviationPoint(
         n=n, mass=mass, log_mass=_log_or_neg_inf(mass), method="exact-enumeration",
         mass_low=mass, mass_high=mass,
@@ -484,7 +539,7 @@ def deviation_mass_exact(mu: LeafMeasure, obs: Potential, interval: Interval, n:
     coordinate (the start symbol is conditioning, not data), so the set is
     a union of depth ``n + memory`` cylinders.  ``mode``:
 
-    * ``enumerate``: sum cylinder masses over all admissible leaf words;
+    * ``enumerate``: sum cylinder masses over all admissible leaf words, 2**16 at a time;
     * ``dp``: dynamic program over (state, accumulated value).  Exact when
       the observable values sit on a common rational lattice (detected by
       exact rational reconstruction, denominator <= 1e6); otherwise values
@@ -530,6 +585,8 @@ def recommended_tilt(spec: SubshiftSpec, base: Potential, obs: Potential,
                      interval: Interval) -> float:
     """Tilt whose equilibrium mean sits at the interval endpoint nearest the
     untilted mean (zero when the interval already contains the mean)."""
+    if interval.is_empty():
+        raise EmptyInterval(f"interval {interval} is empty")
     fam = TiltFamily.of(spec, base, obs)
     mean = fam.q_prime(0.0)
     if interval.contains(mean):

@@ -301,9 +301,9 @@ def gibbs_ratio_audit(mu: LeafMeasure, n_max: int, r: int,
 
 
 def _uniform_block(seed: int, chunk_index: int, first_row: int, rows: int,
-                   steps: int) -> np.ndarray:
+                   steps: int, buf: np.ndarray) -> np.ndarray:
     """Uniforms for rows ``first_row .. first_row + rows - 1`` of one counter
-    block, as a (rows, steps) array.
+    block, as a (rows, steps) view of a prefix of ``buf``, filled in place.
 
     Each block owns a disjoint 2**128 slice of the Philox counter space, so
     draws for sample index i depend only on (seed, i, steps).  Row ``r``
@@ -317,7 +317,7 @@ def _uniform_block(seed: int, chunk_index: int, first_row: int, rows: int,
     bg.advance(offset // 4)
     gen = np.random.Generator(bg)
     gen.random(offset % 4)
-    return gen.random((rows, steps))
+    return gen.random(out=buf[:rows * steps].reshape(rows, steps))
 
 
 def walk_tables(chain: RecodedChain, transition: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -349,7 +349,7 @@ def markov_walks(tables: tuple[int, np.ndarray, np.ndarray], start_index: int, s
     Index ``i`` reads row ``i % CHUNK_ROWS`` of counter block ``i // CHUNK_ROWS``,
     so its walk depends only on (seed, i, steps).  The requested rows of a
     counter block are drawn in sub-blocks of at most ``MAX_UNIFORMS``
-    uniforms, one ``(rows, steps)`` array each, and ``(rows, j, slot)``
+    uniforms, each into one buffer sized once per call, and ``(rows, j, slot)``
     yielded for ``j = 1 .. steps``: ``rows`` slices the sub-block's walks
     (counted from ``first``) and ``slot`` holds the edge slot each took at
     step ``j``, from state ``slot // W`` to ``dst[slot]``.  A step is a
@@ -360,10 +360,12 @@ def markov_walks(tables: tuple[int, np.ndarray, np.ndarray], start_index: int, s
     base = dst * W
     levels = [(h, cum[h - 1:]) for h in (W >> k for k in range(1, W.bit_length()))]
     lo, end = first, first + count
+    sub_rows = max(1, MAX_UNIFORMS // max(steps, 1))
+    buf = np.empty(min(count, CHUNK_ROWS, sub_rows) * steps)
     while lo < end:
         block, row = divmod(lo, CHUNK_ROWS)
-        hi = min(end, (block + 1) * CHUNK_ROWS, lo + max(1, MAX_UNIFORMS // max(steps, 1)))
-        U = _uniform_block(seed, block, row, hi - lo, steps)
+        hi = min(end, (block + 1) * CHUNK_ROWS, lo + sub_rows)
+        U = _uniform_block(seed, block, row, hi - lo, steps, buf)
         rows = slice(lo - first, hi - first)
         slot = np.full(hi - lo, start_index * W, dtype=np.intp)
         for j in range(1, steps + 1):

@@ -269,6 +269,27 @@ def test_bad_deviation_parameters_give_exit_one(capsys, extra, error):
     assert json.loads(err.strip())["error"] == error
 
 
+def test_rate_nan_alpha_gives_exit_one(capsys):
+    code, out, err = run_capture(["rate", "--spec", "specs/fs2.json", "--G", "zero",
+                                  "--phi", "ind1", "--alpha", "nan"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err.strip())["error"] == "ValueError"
+
+
+def test_auto_tilt_rejects_empty_interval_before_solving(monkeypatch, capsys):
+    families = []
+    of = thermo.TiltFamily.of
+    monkeypatch.setattr(thermo.TiltFamily, "of",
+                        classmethod(lambda cls, *args: families.append(args) or of(*args)))
+    code, out, err = run_capture(
+        ["deviation-mc", "--spec", "specs/fs2.json", "--G", "zero", "--phi", "ind1",
+         "--past", "0", "--interval", "0.8:0.2", "--n", "10", "--samples", "100",
+         "--tilt", "auto"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err.strip())["error"] == "EmptyInterval"
+    assert families == []
+
+
 def test_usage_error_gives_exit_two(capsys):
     code, _, err = run_capture(["pressure", "--spec", "specs/fs2.json"], capsys)
     assert code == 2

@@ -170,8 +170,30 @@ def _dense_karp_range(spec, phi):
     return float(min_mean(w)), float(-min_mean(-w))
 
 
+def _exact_karp_range(spec, phi):
+    """Reference: Karp's ``min_v max_k (D_n(v) - D_k(v)) / (n - k)`` in exact
+    rationals, so each end is the exact extreme cycle mean, then rounded."""
+    chain = recode(spec, phi.memory)
+    n = chain.num_states
+    edges = list(zip(*np.nonzero(chain.adjacency)))
+
+    def min_mean(w):
+        D = [[None] * n for _ in range(n + 1)]
+        D[0][0] = Fraction(0)
+        for k in range(n):
+            for a, b in edges:
+                if D[k][a] is not None and (D[k + 1][b] is None or D[k][a] + w[a] < D[k + 1][b]):
+                    D[k + 1][b] = D[k][a] + w[a]
+        return min(max((D[n][v] - D[k][v]) / (n - k) for k in range(n) if D[k][v] is not None)
+                   for v in range(n) if D[n][v] is not None)
+
+    w = [Fraction(phi.value(s)) for s in chain.states]
+    return float(min_mean(w)), float(-min_mean([-x for x in w]))
+
+
 def test_ergodic_range_examples(fs2, gm):
     assert ergodic_range(fs2, Potential.indicator(fs2, 1)) == (0.0, 1.0)
+    assert math.copysign(1.0, ergodic_range(fs2, Potential.indicator(fs2, 1))[0]) == 1.0
     lo, hi = ergodic_range(gm, Potential.indicator(gm, 1))
     assert (lo, hi) == (0.0, 0.5)
     c = Potential.constant(fs2, 2.0)
@@ -193,8 +215,9 @@ def test_ergodic_range_matches_cycle_enumeration(fs2, gm):
     assert ergodic_range(gm, phi) == pytest.approx(_brute_cycle_means(gm, phi), abs=1e-12)
 
 
-def test_ergodic_range_is_bit_identical_to_dense_karp():
-    """Edge-list Karp does the same additions and minima as the dense one."""
+def test_ergodic_range_is_the_exact_extreme_cycle_mean():
+    """Each end is the exact extreme cycle mean, correctly rounded; float
+    Karp, a difference of long walk sums, may sit an ulp off it."""
     rng = np.random.default_rng(11)
     A = [[1, 1, 0, 1], [1, 0, 1, 0], [0, 1, 1, 1], [1, 0, 1, 0]]
     spec = validate_spec(A)
@@ -203,9 +226,41 @@ def test_ergodic_range_is_bit_identical_to_dense_karp():
                  if all(A[a][b] for a, b in zip(w, w[1:]))]
         for vals in (rng.normal(size=len(words)), rng.integers(-3, 4, size=len(words))):
             phi = Potential(memory, {w: float(v) for w, v in zip(words, vals)})
-            assert ergodic_range(spec, phi) == _dense_karp_range(spec, phi)
-            assert rate_curve(spec, Potential.zero(spec), phi, []).alpha_range == \
-                _dense_karp_range(spec, phi)
+            exact = _exact_karp_range(spec, phi)
+            assert ergodic_range(spec, phi) == exact
+            assert rate_curve(spec, Potential.zero(spec), phi, []).alpha_range == exact
+            assert exact == pytest.approx(_dense_karp_range(spec, phi), rel=1e-13)
+
+
+def test_ergodic_range_raises_at_the_iteration_cap(fs2, monkeypatch):
+    """The first policy sends each state to its heaviest successor, the first
+    on ties: state 00 loops on itself with mean 0 while 11's loop has mean
+    1, so one iteration cannot certify the range."""
+    phi = Potential(2, {w: float(w == (1, 1)) for w in itertools.product((0, 1), repeat=2)})
+    assert ergodic_range(fs2, phi) == (0.0, 1.0)
+    monkeypatch.setattr(ldp, "_HOWARD_MAX_ITER", 1)
+    with pytest.raises(NoConvergence):
+        ergodic_range(fs2, phi)
+
+
+def test_ergodic_range_at_eight_thousand_states():
+    """Policy iteration keeps O(edges) memory: Karp's table was 2.45 GB here."""
+    m = 20
+    spec = validate_spec([[1] * m] * m)
+    f = np.random.default_rng(7).normal(size=m)
+    phi = Potential(3, {w: float(f[w[0]]) for w in itertools.product(range(m), repeat=3)})
+    start = time.perf_counter()
+    assert ergodic_range(spec, phi) == (f.min(), f.max())
+    assert time.perf_counter() - start < 1.0
+    chain = recode(spec, 3)
+    w = phi_vector(chain, phi)
+    tracemalloc.start()
+    try:
+        ldp._cycle_range(chain, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 << 20
 
 
 def test_ergodic_range_memory_two(gm):
@@ -614,14 +669,33 @@ def test_deviation_detects_lattice_once(fs2, monkeypatch):
     assert p.method == "dp-lattice" and len(calls) == 1
 
 
-def test_deviation_memory_two_observable(gm):
+def test_deviation_memory_two_observable(gm, monkeypatch):
     phi = Potential(2, {(0, 0): 0.0, (0, 1): 1.0, (1, 0): 1.0})
     mu = leaf_measure(gm, Potential.zero(gm), (0, 0), block=2)
     iv = Interval(0.5, 1.0)
-    for n in (4, 9):
-        dp = deviation_mass_exact(mu, phi, iv, n, mode="dp")
-        en = deviation_mass_exact(mu, phi, iv, n, mode="enumerate")
-        assert dp.mass == pytest.approx(en.mass, rel=1e-12)
+    for chunk in (ldp._ENUM_CHUNK, 3):  # one slice, then slices of at most 3 words
+        monkeypatch.setattr(ldp, "_ENUM_CHUNK", chunk)
+        for n in (4, 9):
+            dp = deviation_mass_exact(mu, phi, iv, n, mode="dp")
+            en = deviation_mass_exact(mu, phi, iv, n, mode="enumerate")
+            assert dp.mass == pytest.approx(en.mass, rel=1e-12)
+
+
+def test_enumeration_memory_is_capped(fs2):
+    """The word tree is finished in slices of at most 2**16 words; holding
+    all 2**22 words of n = 22 at once took a 240 MiB peak."""
+    mu = leaf_measure(fs2, Potential.zero(fs2), (0,))
+    ind1 = Potential.indicator(fs2, 1)
+    iv = Interval(0.7, 1.0)
+    tracemalloc.start()
+    try:
+        en = deviation_mass_exact(mu, ind1, iv, 22, mode="enumerate")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    assert en.mass == pytest.approx(deviation_mass_exact(mu, ind1, iv, 22, mode="dp").mass,
+                                    rel=1e-12)
 
 
 def test_deviation_binned_brackets_contain_truth(fs2):
@@ -1038,6 +1112,26 @@ def test_mc_falls_back_to_floats_when_lattice_sums_overflow():
 def test_recommended_tilt_zero_when_interval_contains_mean(fs2):
     z, ind1 = Potential.zero(fs2), Potential.indicator(fs2, 1)
     assert recommended_tilt(fs2, z, ind1, Interval(0.4, 0.6)) == 0.0
+
+
+@pytest.mark.parametrize("interval", [Interval(math.nan, 1.0), Interval(0.8, 0.2)])
+def test_recommended_tilt_rejects_empty_interval(fs2, interval):
+    with pytest.raises(EmptyInterval):
+        recommended_tilt(fs2, Potential.zero(fs2), Potential.indicator(fs2, 1), interval)
+
+
+@pytest.mark.parametrize("call", [
+    lambda *args: rate_scalar(*args, math.nan),
+    lambda *args: rate_curve(*args, [0.5, math.nan]),
+    lambda *args: q_value(*args, math.nan),
+    lambda *args: q_derivative(*args, math.nan),
+], ids=["rate_scalar", "rate_curve", "q_value", "q_derivative"])
+def test_nan_inputs_raise_before_any_solve(fs2, monkeypatch, call):
+    solves = []
+    monkeypatch.setattr(thermo, "rpf_solve", lambda *args: solves.append(args))
+    with pytest.raises(ValueError, match="NaN"):
+        call(fs2, Potential.zero(fs2), Potential.indicator(fs2, 1))
+    assert solves == []
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,18 @@ def test_sample_path_draws_only_its_own_row(parry_leaf0):
     assert peak < 1 << 20
 
 
+def test_sample_paths_memory_is_capped(parry_leaf0):
+    """Each sub-block's uniforms are drawn into one buffer per call, so a
+    sub-block switch holds one 8 MB block, not two; the int16 paths take 8 MB."""
+    tracemalloc.start()
+    try:
+        sample_paths(parry_leaf0, 200, 20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 << 20
+
+
 def test_sampler_respects_support(gm):
     mu = leaf_measure(gm, Potential.zero(gm), (1,))
     words = sample_paths(mu, 50, 20000, seed=4)
@@ -373,7 +385,7 @@ def _walk_cases():
 def _reference_walks(chain, P, start, steps, count, seed):
     """States of walks 0 .. count - 1, drawn one row and one step at a time by
     inverse-CDF search over each state's successors in increasing order."""
-    U = _uniform_block(seed, 0, 0, count, steps)
+    U = _uniform_block(seed, 0, 0, count, steps, np.empty(count * steps))
     states = np.empty((count, steps + 1), dtype=np.int64)
     for r in range(count):
         s = states[r, 0] = start
