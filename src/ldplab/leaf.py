@@ -202,96 +202,69 @@ def gibbs_ratio_audit(mu: LeafMeasure, n_max: int, r: int,
         raise EnumerationTooLarge(f"audit would visit about {total:.3g} words, budget {budget:.3g}")
 
     gvec = phi_vector(chain, mu.potential)
-    logP = mu.log_transition
-    lam_log = mu.pressure
+    last_sym = chain.last_symbols()
     lag_ball = T - r
     lag_birk = T - (k - 1)
-    hist_len = max(lag_ball, lag_birk) + 1
-
-    last_sym = chain.last_symbols()
 
     state = np.array([mu.start_index], dtype=np.int64)
     logmass = np.zeros(1)
     gsum = np.array([gvec[mu.start_index]])
     g_base = np.zeros(1)
-    hist_mass: list[np.ndarray] = []
-    hist_gsum: list[np.ndarray] = []
-    level_symbols: list[np.ndarray] = [np.array([mu.start_symbol], dtype=np.int16)]
-    level_parents: list[np.ndarray] = [np.array([-1], dtype=np.int64)]
+    hist: list[tuple[np.ndarray, np.ndarray]] = []  # (log mass, Birkhoff sum) of recent levels
+    levels = [(np.array([mu.start_symbol], dtype=np.int16), np.array([-1], dtype=np.int64))]
 
-    per_n_min = np.full(n_max, np.inf)
-    per_n_max = np.full(n_max, -np.inf)
-    argmin: list[tuple[int, int] | None] = [None] * n_max
-    argmax: list[tuple[int, int] | None] = [None] * n_max
+    # Per-n minima (row 0) and maxima (row 1); n is reached at level n + T - 1 only.
+    extreme = (np.argmin, np.argmax)
+    per_n = np.empty((2, n_max))
+    where = np.empty((2, n_max, 2), dtype=np.int64)
 
     for d in range(depth + 1):
         if k >= 2 and d == k - 2:
             g_base = gsum.copy()
-        hist_mass.append(logmass)
-        hist_gsum.append(gsum)
-        if len(hist_mass) > hist_len:
-            hist_mass.pop(0)
-            hist_gsum.pop(0)
-
+        hist = (hist + [(logmass, gsum)])[-1 - max(lag_ball, lag_birk):]
         n = d - T + 1
-        if 1 <= n <= n_max:
-            ball = hist_mass[-1 - lag_ball]
-            birk = hist_gsum[-1 - lag_birk] - g_base
-            ratio = np.exp(ball - birk + n * lam_log)
-            i_min = int(np.argmin(ratio))
-            i_max = int(np.argmax(ratio))
-            if ratio[i_min] < per_n_min[n - 1]:
-                per_n_min[n - 1] = ratio[i_min]
-                argmin[n - 1] = (d, i_min)
-            if ratio[i_max] > per_n_max[n - 1]:
-                per_n_max[n - 1] = ratio[i_max]
-                argmax[n - 1] = (d, i_max)
-
+        if n >= 1:
+            ball = hist[-1 - lag_ball][0]
+            birk = hist[-1 - lag_birk][1] - g_base
+            ratio = np.exp(ball - birk + n * mu.pressure)
+            for row, arg in enumerate(extreme):
+                i = int(arg(ratio))
+                per_n[row, n - 1] = ratio[i]
+                where[row, n - 1] = d, i
         if d == depth:
             break
-        par, new_state, logmass = expand_word_tree(chain, logP, state, logmass)
-        gsum = gsum[par] + gvec[new_state]
+        par, state, logmass = expand_word_tree(chain, mu.log_transition, state, logmass)
+        gsum = gsum[par] + gvec[state]
         g_base = g_base[par]
-        hist_mass = [a[par] for a in hist_mass]
-        hist_gsum = [a[par] for a in hist_gsum]
-        state = new_state
-        level_symbols.append(last_sym[new_state].astype(np.int16))
-        level_parents.append(par)
+        hist = [(m[par], g[par]) for m, g in hist]
+        levels.append((last_sym[state].astype(np.int16), par))
 
-    def reconstruct(pos: tuple[int, int]) -> Word:
-        d, i = pos
-        out = []
-        while d >= 0:
-            out.append(int(level_symbols[d][i]))
-            i = int(level_parents[d][i])
-            d -= 1
-        return tuple(reversed(out))
+    def witness(d: int, i: int) -> Word:
+        word = []
+        for symbols, parents in reversed(levels[:d + 1]):
+            word.append(int(symbols[i]))
+            i = int(parents[i])
+        return tuple(reversed(word))
 
-    n_best_min = int(np.argmin(per_n_min))
-    n_best_max = int(np.argmax(per_n_max))
-    k_min = float(per_n_min[n_best_min])
-    k_max = float(per_n_max[n_best_max])
-    half = n_max // 2
-    if half >= 1:
-        k_min_half = float(per_n_min[:half].min())
-        k_max_half = float(per_n_max[:half].max())
-    else:
-        k_min_half, k_max_half = k_min, k_max
-    drift = max(abs(k_min_half - k_min) / k_min, abs(k_max_half - k_max) / k_max)
+    best = [int(arg(vals)) for arg, vals in zip(extreme, per_n)]
+    k_ext = [float(vals[b]) for vals, b in zip(per_n, best)]
+    half = n_max // 2 or n_max
+    k_half = [float(vals[arg(vals[:half])]) for arg, vals in zip(extreme, per_n)]
+    drift = max(abs(h - v) / v for h, v in zip(k_half, k_ext))
 
     return GibbsRatioReport(
         epsilon_exponent=r,
         n_max=n_max,
-        k_min=k_min,
-        k_max=k_max,
-        k_min_witness=reconstruct(argmin[n_best_min]),
-        k_min_witness_n=n_best_min + 1,
-        k_max_witness=reconstruct(argmax[n_best_max]),
-        k_max_witness_n=n_best_max + 1,
-        per_n_min=tuple(float(v) for v in per_n_min),
-        per_n_max=tuple(float(v) for v in per_n_max),
-        k_min_half=k_min_half,
-        k_max_half=k_max_half,
+        k_min=k_ext[0],
+        k_max=k_ext[1],
+        k_min_witness=witness(*where[0, best[0]]),
+        k_min_witness_n=best[0] + 1,
+        k_max_witness=witness(*where[1, best[1]]),
+        k_max_witness_n=best[1] + 1,
+        per_n_min=tuple(float(v) for v in per_n[0]),
+        per_n_max=tuple(float(v) for v in per_n[1]),
+        k_min_half=k_half[0],
+        k_max_half=k_half[1],
         drift=float(drift),
     )
 

@@ -454,8 +454,7 @@ def axioms_check(spec: SubshiftSpec, sample_count: int = 1000, seed: int = 0) ->
     checks = {"identity": 0, "compose_left": 0, "compose_right": 0,
               "equivariance": 0, "stable_contraction": 0, "unstable_contraction": 0}
     violations: list[str] = []
-    max_stable = 0.0
-    max_unstable = 0.0
+    largest = {"stable": 0.0, "unstable": 0.0}
 
     for trial in range(sample_count):
         s0 = int(rng.integers(spec.alphabet_size))
@@ -480,24 +479,16 @@ def axioms_check(spec: SubshiftSpec, sample_count: int = 1000, seed: int = 0) ->
             if shift(bracket(x, y)) != bracket(shift(x), shift(y)):
                 violations.append(f"trial {trial}: f([x,y]) != [f(x),f(y)]")
 
-        # Shared future: u and v agree with x on coordinates >= 0.
-        u, v = bracket(x, y), bracket(x, z)
-        d0 = distance(u, v)
-        if d0 > 0.0:
-            checks["stable_contraction"] += 1
-            ratio = distance(shift(u), shift(v)) / d0
-            max_stable = max(max_stable, ratio)
-            if ratio > 0.5 + 1e-15:
-                violations.append(f"trial {trial}: stable contraction ratio {ratio}")
+        # Stable: u and v share x's future (coordinates >= 0) and contract under
+        # the shift.  Unstable: they share its past and contract under its inverse.
+        for (u, v), steps, side in (((bracket(x, y), bracket(x, z)), 1, "stable"),
+                                    ((bracket(y, x), bracket(z, x)), -1, "unstable")):
+            d0 = distance(u, v)
+            if d0 > 0.0:
+                checks[f"{side}_contraction"] += 1
+                ratio = distance(shift(u, steps), shift(v, steps)) / d0
+                largest[side] = max(largest[side], ratio)
+                if ratio > 0.5 + 1e-15:
+                    violations.append(f"trial {trial}: {side} contraction ratio {ratio}")
 
-        # Shared past: u and v agree with x on coordinates <= 0.
-        u, v = bracket(y, x), bracket(z, x)
-        d0 = distance(u, v)
-        if d0 > 0.0:
-            checks["unstable_contraction"] += 1
-            ratio = distance(shift(u, -1), shift(v, -1)) / d0
-            max_unstable = max(max_unstable, ratio)
-            if ratio > 0.5 + 1e-15:
-                violations.append(f"trial {trial}: unstable contraction ratio {ratio}")
-
-    return AxiomReport(sample_count, checks, violations, max_stable, max_unstable)
+    return AxiomReport(sample_count, checks, violations, largest["stable"], largest["unstable"])

@@ -438,7 +438,14 @@ class TiltFamily:
         return math.log(self.rpf(0.0).eigenvalue)
 
     def _weighted(self, t: float) -> WeightedMatrix:
-        return WeightedMatrix(self.chain, self.matrix * np.exp(self.gvec + t * self.pvec)[:, None])
+        """``W(t)``; a tilt that is not finite, or that overflows a weight, raises."""
+        if not math.isfinite(t):
+            raise ValueError(f"tilt {t} is not finite")
+        with np.errstate(over="ignore"):
+            weights = np.exp(self.gvec + t * self.pvec)
+        if not np.isfinite(weights).all():
+            raise ValidationError(f"tilt {t} overflows the weights exp(gvec + t * pvec)")
+        return WeightedMatrix(self.chain, self.matrix * weights[:, None])
 
     def rpf(self, t: float) -> RPFData:
         """Perron eigendata of ``W(t)`` from :func:`rpf_solve`, solved once per

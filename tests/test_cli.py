@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from ldplab import IncompleteTable, NotPrimitive, ParseError, ValidationError, thermo
+from ldplab import (IncompleteTable, Interval, NotPrimitive, ParseError, ValidationError,
+                    axioms_check, deviation_mass_exact, deviation_mass_mc, equilibrium_measure,
+                    leaf_measure, thermo)
 from ldplab.cli import load_spec, run, to_json
 
 from conftest import golden_rate
@@ -290,6 +292,17 @@ def test_auto_tilt_rejects_empty_interval_before_solving(monkeypatch, capsys):
     assert families == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["qcurve", "--spec", "specs/fs2.json", "--G", "zero", "--phi", "ind1", "--t=0:800:3"],
+    ["deviation-mc", "--spec", "specs/fs2.json", "--G", "zero", "--phi", "ind1", "--past", "0",
+     "--interval", "0.7:1", "--n", "10", "--samples", "100", "--tilt", "800"],
+], ids=["qcurve", "deviation-mc"])
+def test_overflowing_tilt_gives_exit_one(argv, capsys):
+    code, out, err = run_capture(argv, capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err.strip())["error"] == "ValidationError"
+
+
 def test_usage_error_gives_exit_two(capsys):
     code, _, err = run_capture(["pressure", "--spec", "specs/fs2.json"], capsys)
     assert code == 2
@@ -353,6 +366,73 @@ def test_csv_header_matches_documented_order(capsys):
          "--past", "0", "--interval", "0.7:1", "--n", "10", "--format", "csv"], capsys)
     lines = out.splitlines()
     assert lines[1].startswith("n,log_mass,mass,stderr")
+
+
+def csv_rows(out):
+    """The rows of a CSV output as dicts of strings, after its header line."""
+    lines = out.splitlines()
+    cols = lines[1].split(",")
+    return [dict(zip(cols, line.split(","))) for line in lines[2:]]
+
+
+def test_gibbs_csv_has_one_row_per_edge(capsys):
+    code, out, err = run_capture(["gibbs", "--spec", "specs/golden.json", "--potential", "zero",
+                                  "--format", "csv"], capsys)
+    assert code == 0, err
+    spec, pots = load_spec("specs/golden.json")
+    mu = equilibrium_measure(spec, pots["zero"])
+    want = [(str(i), str(j), float(mu.transition[i, j]), float(mu.stationary[i]))
+            for i in range(2) for j in range(2) if mu.chain.adjacency[i, j]]
+    got = [(r["from_state"], r["to_state"], float(r["probability"]), float(r["stationary_from"]))
+           for r in csv_rows(out)]
+    assert got == want
+
+
+def test_axioms_csv_spreads_checks_over_columns(capsys):
+    code, out, err = run_capture(["axioms", "--spec", "specs/golden.json", "--samples", "50",
+                                  "--seed", "4", "--format", "csv"], capsys)
+    assert code == 0, err
+    spec, _ = load_spec("specs/golden.json")
+    rep = axioms_check(spec, sample_count=50, seed=4)
+    (row,) = csv_rows(out)
+    assert {k: int(v) for k, v in row.items() if k.startswith("checks_")} == \
+        {f"checks_{k}": v for k, v in rep.checks.items()}
+    assert int(row["violations"]) == len(rep.violations)
+    assert float(row["max_stable_ratio"]) == rep.max_stable_ratio
+    assert float(row["max_unstable_ratio"]) == rep.max_unstable_ratio
+
+
+@pytest.mark.parametrize("tilt", [None, 1.5])
+def test_deviation_mc_row_matches_library(tilt, capsys):
+    extra = [] if tilt is None else ["--tilt", str(tilt)]
+    code, out, err = run_capture(
+        ["deviation-mc", "--spec", "specs/fs2.json", "--G", "zero", "--phi", "ind1",
+         "--past", "0", "--interval", "0.7:1", "--n", "12", "--samples", "500",
+         "--seed", "3", *extra], capsys)
+    assert code == 0, err
+    spec, pots = load_spec("specs/fs2.json")
+    mu = leaf_measure(spec, pots["zero"], (0,))
+    p = deviation_mass_mc(mu, pots["ind1"], Interval(0.7, 1.0), 12, 500, tilt=tilt, seed=3)
+    row = json.loads(out.splitlines()[1])
+    assert (row["mass"], row["stderr"], row["samples"]) == (p.mass, p.stderr, 500)
+    assert row.get("tilt") == tilt
+
+
+def test_binned_deviation_row_carries_its_bracket(capsys):
+    """bern03 sits on no lattice.  Words of n = 12 with six 1s average
+    -0.780324, within one 1e-3 bin of the interval's end -0.7803, so that
+    bin straddles the end and the row carries a bracket."""
+    code, out, err = run_capture(
+        ["deviation-exact", "--spec", "specs/fs2.json", "--G", "zero", "--phi", "bern03",
+         "--past", "0", "--interval=-0.7803:-0.3", "--n", "12", "--mode", "dp"], capsys)
+    assert code == 0, err
+    spec, pots = load_spec("specs/fs2.json")
+    mu = leaf_measure(spec, pots["zero"], (0,))
+    p = deviation_mass_exact(mu, pots["bern03"], Interval(-0.7803, -0.3), 12, mode="dp")
+    row = json.loads(out.splitlines()[1])
+    assert row["method"] == p.method == "dp-binned"
+    assert (row["mass"], row["mass_low"], row["mass_high"]) == (p.mass, p.mass_low, p.mass_high)
+    assert p.mass_low < p.mass_high
 
 
 def test_fit_reads_csv_series(tmp_path, capsys):

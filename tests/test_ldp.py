@@ -21,6 +21,7 @@ from ldplab import (
     Potential,
     RPFData,
     TiltFamily,
+    ValidationError,
     contraction_check,
     deviation_mass_exact,
     deviation_mass_mc,
@@ -271,7 +272,7 @@ def test_ergodic_range_memory_two(gm):
 
 
 def test_ergodic_range_full_shift_memory_three():
-    """Karp over the successor table: 1,728 states and 20,736 edges.  Every
+    """Howard over the successor table: 1,728 states and 20,736 edges.  Every
     constant word is a fixed point, so the range of f(w[0]) is its min/max."""
     m = 12
     spec = validate_spec([[1] * m] * m)
@@ -358,7 +359,7 @@ def _same_rates(spec, base, obs, alphas):
 
 
 def test_rate_scalar_is_rate_curve_bit_for_bit():
-    """``rate_scalar`` runs Karp only where q'(-1) and q'(1) do not certify
+    """``rate_scalar`` runs Howard only where q'(-1) and q'(1) do not certify
     alpha interior; its value must still be ``rate_curve``'s to the bit: at
     and one ulp either side of the range ends, at q'(+-1) +- 1e-10 and
     2e-10, outside the range and at interior points on either side of
@@ -389,7 +390,7 @@ def test_rate_scalar_is_rate_curve_bit_for_bit():
 def test_rate_of_observable_cohomologous_to_a_constant_is_exactly_zero(gm):
     """obs = c + g(x_1) - g(x_0) has every invariant mean equal to c, so q'
     is c up to rounding at every tilt and cannot certify any alpha interior;
-    Karp's range is exactly [c, c] (dyadic values) and the rate at c is 0.0."""
+    Howard's range is exactly [c, c] (dyadic values) and the rate at c is 0.0."""
     c, g = 0.75, (3.0, -2.0)
     obs = Potential(2, {(a, b): c + g[b] - g[a] for a, b in itertools.product((0, 1), repeat=2)
                         if (a, b) != (1, 1)})
@@ -1131,6 +1132,31 @@ def test_nan_inputs_raise_before_any_solve(fs2, monkeypatch, call):
     monkeypatch.setattr(thermo, "rpf_solve", lambda *args: solves.append(args))
     with pytest.raises(ValueError, match="NaN"):
         call(fs2, Potential.zero(fs2), Potential.indicator(fs2, 1))
+    assert solves == []
+
+
+@pytest.mark.parametrize("t, error", [
+    (math.inf, ValueError), (-math.inf, ValueError), (1e308, ValidationError),
+    (800.0, ValidationError),
+])
+@pytest.mark.parametrize("fn", [q_value, q_derivative])
+def test_out_of_range_tilts_raise_before_any_solve(fs2, monkeypatch, fn, t, error):
+    """The fs2 weight exp(t) overflows from t = 709.8 on: such a tilt, and
+    one that is not finite, is rejected before the solve."""
+    solves = []
+    monkeypatch.setattr(thermo, "rpf_solve", lambda *args: solves.append(args))
+    with pytest.raises(error):
+        fn(fs2, Potential.zero(fs2), Potential.indicator(fs2, 1), t)
+    assert solves == []
+
+
+def test_mc_with_an_overflowing_tilt_raises_before_any_solve(fs2, monkeypatch):
+    mu = leaf_measure(fs2, Potential.zero(fs2), (0,))
+    solves = []
+    monkeypatch.setattr(thermo, "rpf_solve", lambda *args: solves.append(args))
+    with pytest.raises(ValidationError):
+        deviation_mass_mc(mu, Potential.indicator(fs2, 1), Interval(0.7, 1.0), 10, 100,
+                          tilt=800.0)
     assert solves == []
 
 

@@ -210,6 +210,14 @@ def test_rpf_iteration_cap_counts_inverse_steps(gm):
         rpf_solve(M, max_iter=needed - 1)
 
 
+def test_rpf_raises_when_the_inverse_phase_stalls(gm, monkeypatch):
+    """An inverse step that leaves its vector unchanged narrows neither the
+    residual nor the bracket, so the solve gives up with NoConvergence."""
+    monkeypatch.setattr(thermo, "_inverse_step", lambda matrix, x, shift, work: x)
+    with pytest.raises(NoConvergence, match="stalled"):
+        rpf_solve(_golden_tilt(gm, 40))
+
+
 def test_rpf_rejects_non_primitive_chain(fs2):
     adjacency = np.array([[0, 1], [1, 0]], dtype=np.uint8)
     step = np.array([[-1, 1], [0, -1]], dtype=np.int64)
@@ -245,6 +253,23 @@ def test_tilt_family_above_dense_start_solves_flat(fs2):
     for t in (0.0, 2.5, -7.0):
         W = WeightedMatrix(chain, fam.matrix * np.exp(fam.gvec + t * fam.pvec)[:, None])
         _same_rpf(fam.rpf(t), rpf_solve(W, fam.tol))
+
+
+def test_tilt_family_solves_flat_when_eig_fails(gm, monkeypatch):
+    """``_dense_start`` returns no start when LAPACK raises, and the tilt
+    solve is then the flat ``rpf_solve``, bit for bit."""
+    calls = []
+
+    def failing_eig(a):
+        calls.append(a)
+        raise np.linalg.LinAlgError("eig did not converge")
+
+    fam = TiltFamily.of(gm, Potential.zero(gm), Potential.indicator(gm, 1))
+    monkeypatch.setattr(np.linalg, "eig", failing_eig)
+    for t in (0.0, 2.5, 40.0):
+        W = WeightedMatrix(fam.chain, fam.matrix * np.exp(fam.gvec + t * fam.pvec)[:, None])
+        _same_rpf(fam.rpf(t), rpf_solve(W, fam.tol))
+    assert len(calls) == 3
 
 
 def _small_families(rng, count):
