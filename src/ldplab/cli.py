@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 from typing import Any, Sequence
 
 import numpy as np
@@ -405,6 +406,7 @@ def _cmd_axioms(args, out: _Output) -> None:
 # Driver
 
 
+@cache  # built once per process: building costs far more than parsing
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ldplab", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)

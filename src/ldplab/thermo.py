@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 import numpy as np
@@ -479,34 +480,81 @@ class TiltFamily:
         returned, which realizes the monotone limit of the rate values.  The
         bracket also stops short of the cap at a tilt so large that its
         chain cannot be computed (:class:`NoConvergence`).
+
+        A midpoint is solved only if no tilt solved in this call decides its
+        branch: one at ``s >= mid`` with ``q'(s) < alpha - 2 tol`` moves ``lo``,
+        one at ``s <= mid`` with ``q'(s) > alpha + 2 tol`` moves ``hi``.  If
+        computed ``q'`` is monotone to within ``tol / 2``, the result is the
+        plain bisection's bit for bit, but it may return where a skipped
+        midpoint's solve would have raised :class:`NoConvergence`.  After the
+        third solved midpoint that does not stop, one guide pass finds ``c``
+        with ``|q'(c) - alpha| <= tol`` by Illinois regula falsi, then solves
+        on each side of ``c`` the last midpoint of the bisection's path that a
+        secant predicts more than ``2.5 tol`` off; a raising solve ends it.
         """
         cap = self.t_limit
+        known: dict[float, float] = {}  # q'(t) - alpha at each tilt t solved in this call
+        below, above, solved = -math.inf, math.inf, 0  # midpoints <= below, >= above are decided
 
-        def widen(t: float, q_t: float, short) -> tuple[float, float]:
-            while short(q_t) and abs(t) < cap:
+        def solve(t: float) -> float:
+            nonlocal below, above
+            d = known[t] = self.q_prime(t) - alpha
+            if abs(d) > 2.0 * tol:
+                below, above = (max(below, t), above) if d < 0 else (below, min(above, t))
+            return d
+
+        def widen(t: float, d: float) -> tuple[float, float]:
+            while d * t < 0 and abs(t) < cap:  # q'(t) falls short of alpha on t's side
                 nxt = math.copysign(min(2.0 * abs(t), cap), t)
                 try:
-                    q_t = self.q_prime(nxt)
+                    d = solve(nxt)
                 except NoConvergence:
                     break
                 t = nxt
-            return t, q_t
+            return t, d
 
-        hi, q_hi = widen(1.0, self.q_prime(1.0), lambda q: q < alpha)
-        lo, q_lo = widen(-1.0, self.q_prime(-1.0), lambda q: q > alpha)
-        if q_hi < alpha:
+        def guide(lo: float, hi: float) -> None:
+            a = max((s for s, d in known.items() if d < 0), default=lo)  # else q'(lo) == alpha
+            b = min((s for s, d in known.items() if d > 0), default=hi)  # else q'(hi) == alpha
+            fa, fb, last = known[a], known[b], 0.0
+            for _ in range(20):
+                c = a - fa * (b - a) / (fb - fa)
+                fc = solve(c)
+                if abs(fc) <= tol:
+                    break
+                keep = 0.5 if fc * last > 0 else 1.0  # Illinois: halve an end kept twice in a row
+                a, fa, b, fb = (c, fc, b, keep * fb) if fc < 0 else (a, keep * fa, c, fc)
+                last = fc
+            for _ in range(2):  # the second walk takes its slope from the first's solves
+                near = min((s for s in known if s != c and abs(known[s]) > tol),
+                           key=lambda s: abs(s - c))
+                slope, l, h, targets = (known[near] - fc) / (near - c), lo, hi, {}
+                for _ in range(200):
+                    mid = 0.5 * (l + h)
+                    off = slope * (mid - c)
+                    if abs(off) <= tol:
+                        break
+                    if abs(off) > 2.5 * tol:
+                        targets[off < 0] = mid
+                    l, h = (mid, h) if off < 0 else (l, mid)
+                for mid in [m for m in targets.values() if below < m < above]:
+                    solve(mid)
+
+        hi, d_hi = widen(1.0, solve(1.0))
+        lo, d_lo = widen(-1.0, solve(-1.0))
+        if d_hi < 0:
             return hi, True
-        if q_lo > alpha:
+        if d_lo > 0:
             return lo, True
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            qm = self.q_prime(mid)
-            if abs(qm - alpha) <= tol:
+            d = -math.inf if mid <= below else math.inf if mid >= above else solve(mid)
+            if abs(d) <= tol:
                 return mid, False
-            if qm < alpha:
-                lo = mid
-            else:
-                hi = mid
+            lo, hi = (mid, hi) if d < 0 else (lo, mid)
+            if math.isfinite(d) and (solved := solved + 1) == 3:
+                with suppress(NoConvergence):
+                    guide(lo, hi)
             if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
                 break
         return 0.5 * (lo + hi), False

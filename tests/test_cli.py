@@ -8,7 +8,7 @@ import pytest
 from ldplab import (IncompleteTable, Interval, NotPrimitive, ParseError, ValidationError,
                     axioms_check, deviation_mass_exact, deviation_mass_mc, equilibrium_measure,
                     leaf_measure, thermo)
-from ldplab.cli import load_spec, run, to_json
+from ldplab.cli import _build_parser, load_spec, run, to_json
 
 from conftest import golden_rate
 
@@ -307,6 +307,16 @@ def test_usage_error_gives_exit_two(capsys):
     code, _, err = run_capture(["pressure", "--spec", "specs/fs2.json"], capsys)
     assert code == 2
     assert "--potential" in err
+
+
+def test_run_repeats_byte_for_byte_in_one_process(capsys):
+    """The parser is built once per process; a second call writes the same
+    bytes, and a usage error between two good calls still exits 2."""
+    assert _build_parser() is _build_parser()
+    first = run_capture(GOLDEN_COMMANDS["ratecurve_gm.csv"], capsys)
+    assert first[0] == 0 and first[1]
+    assert run_capture(["ratecurve", "--spec", "specs/golden.json"], capsys)[0] == 2
+    assert run_capture(GOLDEN_COMMANDS["ratecurve_gm.csv"], capsys) == first
 
 
 def test_unknown_command_gives_exit_two(capsys):

@@ -493,6 +493,39 @@ def test_rate_curve_solves_no_matrix_twice(gm, monkeypatch):
     assert calls and len(set(calls)) == len(calls)
 
 
+def _count_solves(monkeypatch):
+    calls = []
+    solve = thermo.rpf_solve
+    monkeypatch.setattr(thermo, "rpf_solve", lambda *args: calls.append(1) or solve(*args))
+    return calls
+
+
+def test_rate_scalar_skips_decided_midpoints(fs2, monkeypatch):
+    """At fs2, alpha = 23/24 the plain bisection solved 33 tilts; solving
+    only the midpoints that no solved tilt decides, after one guide pass,
+    takes at most 18."""
+    calls = _count_solves(monkeypatch)
+    value = rate_scalar(fs2, Potential.zero(fs2), Potential.indicator(fs2, 1), 23 / 24)
+    assert value == pytest.approx(fs2_rate(23 / 24), rel=1e-9)
+    assert 0 < len(calls) <= 18
+
+
+def test_solve_mean_guides_no_early_stop(gm, monkeypatch):
+    """``alpha = q'(0.5)`` stops at the second midpoint; the guide pass waits
+    for a third, so a 34-state chain (flat starts) solves the plain
+    bisection's 4 tilts: -1, 1, 0 and 0.5."""
+    chain = recode(gm, 7)
+    pvec = phi_vector(chain, Potential.indicator(gm, 1))
+
+    def family():
+        return TiltFamily(chain, chain.adjacency.astype(np.float64), np.zeros(34), pvec)
+
+    alpha = family().q_prime(0.5)
+    calls = _count_solves(monkeypatch)
+    assert family().solve_mean(alpha) == (0.5, False)
+    assert len(calls) == 4
+
+
 def test_duality_double_transform_recovers_q(fs2, gm):
     for spec in (fs2, gm):
         fam = TiltFamily.of(spec, Potential.zero(spec), Potential.indicator(spec, 1))

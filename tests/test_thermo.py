@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ldplab import (
     entropy,
     equilibrium_measure,
     integrate,
+    phi_vector,
     pressure,
     random_markov_measure,
     recode,
@@ -25,10 +27,14 @@ from ldplab import (
     variational_gap,
 )
 from ldplab import thermo
+from ldplab.cli import load_spec
+from ldplab.ldp import _cycle_range
 from ldplab.thermo import (_DENSE_START, RecodedChain, RPFData, TiltFamily, WeightedMatrix,
                            _dense_start, stationary_distribution)
 
 from conftest import GOLDEN_RATIO, bernoulli_potential, golden_lambda
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +412,92 @@ def test_tilt_solves_match_the_two_eig_recomputing_reference():
             seen["kept" if kept else "dropped"] += 1
             seen["inverse"] += inverse
     assert min(seen["kept"], seen["dropped"], seen["inverse"]) >= 5, seen
+
+
+def _plain_bisection(fam, alpha, tol=1e-10):
+    """Reference for :meth:`TiltFamily.solve_mean`: the bisection that solves
+    every midpoint, kept verbatim from before midpoints were skipped."""
+    cap = fam.t_limit
+
+    def widen(t, q_t, short):
+        while short(q_t) and abs(t) < cap:
+            nxt = math.copysign(min(2.0 * abs(t), cap), t)
+            try:
+                q_t = fam.q_prime(nxt)
+            except NoConvergence:
+                break
+            t = nxt
+        return t, q_t
+
+    hi, q_hi = widen(1.0, fam.q_prime(1.0), lambda q: q < alpha)
+    lo, q_lo = widen(-1.0, fam.q_prime(-1.0), lambda q: q > alpha)
+    if q_hi < alpha:
+        return hi, True
+    if q_lo > alpha:
+        return lo, True
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        qm = fam.q_prime(mid)
+        if abs(qm - alpha) <= tol:
+            return mid, False
+        if qm < alpha:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
+            break
+    return 0.5 * (lo + hi), False
+
+
+def _bisection_families():
+    """``(family, solve tol)``: fs2 and the golden mean with G in {zero,
+    bern03} and phi in {ind1, pair01}, three seeded random systems, the golden
+    mean at block 7 (34 states, flat starts) and two contraction-slice
+    families (family tol 1e-12, solve tol 1e-9), as ``contraction_check``
+    builds them."""
+    fams = []
+    for name in ("fs2", "golden"):
+        spec, pots = load_spec(str(SPECS / f"{name}.json"))
+        fams += [(TiltFamily.of(spec, pots[g], pots[p]), 1e-10)
+                 for g in ("zero", "bern03") for p in ("ind1", "pair01")]
+    rng = np.random.default_rng(20261020)
+    while len(fams) < 11:
+        m, k = int(rng.integers(2, 4)), int(rng.integers(1, 3))
+        try:
+            chain = recode(validate_spec((rng.random((m, m)) < 0.6).astype(int)), k)
+        except LdplabError:
+            continue
+        n = chain.num_states
+        fams.append((TiltFamily(chain, chain.adjacency.astype(np.float64),
+                                rng.standard_normal(n), rng.standard_normal(n)), 1e-10))
+    gm = load_spec(str(SPECS / "golden.json"))[0]
+    chain = recode(gm, 7)
+    fams.append((TiltFamily(chain, chain.adjacency.astype(np.float64), np.zeros(34),
+                            phi_vector(chain, Potential.indicator(gm, 1))), 1e-10))
+    for fam in (fams[0][0], fams[4][0]):
+        for _ in range(2):
+            P = random_markov_measure(fam.chain, rng).transition
+            fams.append((TiltFamily(fam.chain, P, np.zeros(fam.chain.num_states), fam.pvec,
+                                    tol=1e-12), 1e-9))
+    return fams
+
+
+def test_solve_mean_is_the_plain_bisection_bit_for_bit():
+    """Skipping the midpoints that solved tilts decide, and the guide pass's
+    extra solves, return the plain bisection's ``(t, capped)`` with ``==``:
+    on an interior grid of 23 alphas, 1e-6 and 1e-4 from each end of the
+    ergodic range, and at ``alpha = q'(t)`` for seven tilts.  The two share
+    one family, so each tilt is solved once."""
+    compared = 0
+    for fam, tol in _bisection_families():
+        amin, amax = _cycle_range(fam.chain, fam.pvec)
+        alphas = [amin + (amax - amin) * k / 24 for k in range(1, 24)]
+        alphas += [amin + 1e-6, amin + 1e-4, amax - 1e-4, amax - 1e-6]
+        alphas += [fam.q_prime(t) for t in (-1.5, -1.0, -0.5, 0.5, 0.75, 1.0, 2.0)]
+        for alpha in alphas:
+            assert fam.solve_mean(alpha, tol) == _plain_bisection(fam, alpha, tol), (fam, alpha)
+            compared += 1
+    assert compared >= 500
 
 
 # ---------------------------------------------------------------------------
