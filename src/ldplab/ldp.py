@@ -360,9 +360,8 @@ def _rank(interval: Interval, x: float) -> int:
 
 
 #: Lattice detection tries rationals up to this denominator, and accepts one
-#: that reproduces its float to this relative tolerance.
+#: only if it rounds to the stored double itself.
 _LATTICE_DENOMINATOR = 10 ** 6
-_LATTICE_TOL = 1e-13
 
 
 def _detect_lattice(values: np.ndarray):
@@ -375,7 +374,7 @@ def _detect_lattice(values: np.ndarray):
     fracs = []
     for v in values:
         f = Fraction(float(v)).limit_denominator(_LATTICE_DENOMINATOR)
-        if abs(float(f) - float(v)) > _LATTICE_TOL * max(1.0, abs(float(v))):
+        if float(f) != float(v):
             return None
         fracs.append(f)
     base = min(fracs)

@@ -17,8 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MemoryTooLarge, NoConvergence, NotPrimitive, ValidationError
-from .sft import (MAX_POTENTIAL_VALUE, Potential, SubshiftSpec, Word, admissible_words,
-                  primitivity_exponent)
+from .sft import MAX_POTENTIAL_VALUE, Potential, SubshiftSpec, Word, primitivity_exponent
 
 
 @dataclass(eq=False)
@@ -76,6 +75,9 @@ class RecodedChain:
 def recode(spec: SubshiftSpec, block: int) -> RecodedChain:
     """Build the ``block``-word chain presentation of the subshift.
 
+    States are built as base-``m`` integer codes in ascending, that is
+    lexicographic, order; ``m ** block`` past int64 raises :class:`ValidationError`.
+
     The chain is primitive with exponent ``p + block - 1``, where ``p`` is
     the spec's primitivity power: a path of ``q >= block`` steps between two
     ``block``-words is a base path of ``q - block + 1`` steps between the
@@ -84,18 +86,25 @@ def recode(spec: SubshiftSpec, block: int) -> RecodedChain:
     """
     if block < 1:
         raise ValueError("recoding block must be >= 1")
-    states = tuple(admissible_words(spec, block))
-    index = {w: i for i, w in enumerate(states)}
-    n = len(states)
+    m = spec.alphabet_size
+    if m ** block > np.iinfo(np.int64).max:
+        raise ValidationError(f"{block}-words on {m} symbols overflow the int64 word codes")
+    codes = np.arange(m, dtype=np.int64)
+    src, sym = np.nonzero(spec.transitions[codes])
+    for _ in range(block - 1):
+        codes = codes[src] * m + sym
+        src, sym = np.nonzero(spec.transitions[codes % m])
+    # Edge (src, sym) drops the first symbol of state src and appends sym.
+    dst = np.searchsorted(codes, codes[src] % m ** (block - 1) * m + sym)
+    n = len(codes)
     adjacency = np.zeros((n, n), dtype=np.uint8)
-    step = np.full((n, spec.alphabet_size), -1, dtype=np.int64)
-    for i, w in enumerate(states):
-        for a in spec.successors(w[-1]):
-            j = index[w[1:] + (a,)]
-            adjacency[i, j] = 1
-            step[i, a] = j
-    power = 1 if spec.alphabet_size == 1 else spec.primitivity_power + block - 1
-    return RecodedChain(spec, block, states, index, adjacency, step, _primitivity=power)
+    adjacency[src, dst] = 1
+    step = np.full((n, m), -1, dtype=np.int64)
+    step[src, sym] = dst
+    states = tuple(map(tuple, (codes[:, None] // m ** np.arange(block - 1, -1, -1) % m).tolist()))
+    power = 1 if m == 1 else spec.primitivity_power + block - 1
+    return RecodedChain(spec, block, states, dict(zip(states, range(n))), adjacency, step,
+                        _primitivity=power)
 
 
 def phi_vector(chain: RecodedChain, phi: Potential) -> np.ndarray:
@@ -179,11 +188,13 @@ _STALL = 8
 #: flat one; the two tie at 34 to 42 states, and at 60 to 64 states the
 #: ``eig`` call alone costs 1.4 times a flat solve.
 _DENSE_START = 32
+#: A residual stop also needs a Collatz-Wielandt bracket this narrow (relative).
+_CERTIFIED = 1e-10
 
 
-def _collatz_wielandt(h: np.ndarray, v: np.ndarray, mh: np.ndarray,
-                      vm: np.ndarray) -> tuple[float, float]:
-    """Bracket of the Perron root from non-negative vectors ``h`` and ``v``.
+def _collatz_wielandt(x: np.ndarray, mx: np.ndarray) -> tuple[float, float]:
+    """Bracket of the Perron root from the non-negative rows ``x = (h, v)``
+    and ``mx = (Mh, vM)``.
 
     For positive ``h``, ``min (Mh)_i / h_i <= lam <= max (Mh)_i / h_i``
     (Collatz 1942, Wielandt 1950); the same holds for ``v`` and ``vM``, and
@@ -191,13 +202,12 @@ def _collatz_wielandt(h: np.ndarray, v: np.ndarray, mh: np.ndarray,
     minimum taken over ``h_i > 0``; the upper bound needs every entry
     positive and is ``inf`` when one has underflowed to zero.
     """
-    def bounds(x: np.ndarray, mx: np.ndarray) -> tuple[float, float]:
-        ratio = mx / x if x.min() > 0 else mx[x > 0] / x[x > 0]
-        return float(ratio.min()), (float(ratio.max()) if len(ratio) == len(x) else math.inf)
-
-    lo_h, hi_h = bounds(h, mh)
-    lo_v, hi_v = bounds(v, vm)
-    return max(lo_h, lo_v), min(hi_h, hi_v)
+    if x.min() > 0:
+        ratio = mx / x
+        return float(ratio.min(axis=1).max()), float(ratio.max(axis=1).min())
+    ratios = [m[pos] / r[pos] for r, m, pos in zip(x, mx, x > 0)]
+    return (max(float(r.min()) for r in ratios),
+            min(float(r.max()) if len(r) == x.shape[1] else math.inf for r in ratios))
 
 
 def _power_stalls(history: deque[float], tol: float, n: int) -> bool:
@@ -236,26 +246,31 @@ def _inverse_step(matrix: np.ndarray, x: np.ndarray, shift: float, work: np.ndar
     return y
 
 
-def _dense_start(matrix: np.ndarray) -> tuple[np.ndarray, ...] | None:
-    """Right and left Perron vectors from ``np.linalg.eig``: the eigenvector
-    of the eigenvalue with the largest real part, as the absolute value of
-    its real part; ``None`` if LAPACK fails or an entry is not finite and
-    positive."""
+def _dense_start(matrix: np.ndarray) -> np.ndarray | None:
+    """Right and left Perron vectors from one batched ``np.linalg.eig`` call,
+    as the rows of a ``(2, n)`` array: the eigenvector of the eigenvalue with
+    the largest real part, as the absolute value of its real part; ``None``
+    if LAPACK fails or an entry is not finite and positive."""
     try:
         vals, vecs = np.linalg.eig(np.stack((matrix, matrix.T)))
     except np.linalg.LinAlgError:
         return None
-    pair = tuple(np.abs(x[:, np.argmax(w.real)].real) for w, x in zip(vals, vecs))
-    return pair if all(np.all((x > 0) & (x < math.inf)) for x in pair) else None
+    pair = np.abs(vecs[[0, 1], :, vals.real.argmax(axis=1)].real)
+    return pair if np.all((pair > 0) & (pair < math.inf)) else None
 
 
-def rpf_solve(M: WeightedMatrix, tol: float = 1e-13, start: tuple[np.ndarray, ...] | None = None,
+def rpf_solve(M: WeightedMatrix, tol: float = 1e-13,
+              start: np.ndarray | tuple[np.ndarray, ...] | None = None,
               max_iter: int = 10 ** 6) -> RPFData:
     """Perron eigenvalue and positive left/right eigenvectors of a transfer matrix.
 
     Starts with power iteration and renormalization; the eigenvalue estimate
     is the Rayleigh quotient of the current pair, and the solve stops once
-    the relative residual of both vectors is at most ``tol``.  Power
+    the relative residual of both vectors is at most ``tol`` and their
+    Collatz-Wielandt bracket is within ``_CERTIFIED`` (relative), since an
+    iterate on a nearly invariant block of states passes the residual test
+    alone with a wrong root; a bracket whose upper end is ``inf`` because an
+    entry underflowed stops it as it stands (see :class:`RPFData`).  Power
     iteration contracts at rate ``|lam_2 / lam_1|``, which tends to 1 when a
     tilt concentrates on a periodic orbit.  Once the contraction observed
     over the last ``_WINDOW`` steps predicts more remaining steps than a few
@@ -263,56 +278,60 @@ def rpf_solve(M: WeightedMatrix, tol: float = 1e-13, start: tuple[np.ndarray, ..
     in Noda's iteration: each step shifts to just above the Collatz-Wielandt
     upper bound of the current vectors, so ``(shift * I - M)`` has a
     positive inverse, and the shift falls towards ``lam`` with the bracket.
-    The inverse phase stops on the same residual test or once the
-    Collatz-Wielandt bracket is narrower than ``tol`` (relative), and
-    raises :class:`NoConvergence` if a vector loses positivity or
-    finiteness, or if ``_STALL`` steps narrow neither residual nor bracket.
-    ``max_iter`` caps the power and inverse steps together.  The residual
-    and bracket are those of the iterate the solve stopped on.
+    The inverse phase also stops once the bracket is narrower than ``tol``
+    (relative).  The solve raises :class:`NoConvergence` if ``v @ h``
+    vanishes, if a vector loses positivity or finiteness, or if ``_STALL``
+    inverse steps narrow neither residual nor bracket.  ``max_iter`` caps
+    the power and inverse steps together.  The residual and bracket are
+    those of the iterate the solve stopped on.
 
-    ``start`` is an optional pair of positive right and left vectors to
-    iterate from instead of the flat vectors.  It is kept only if its own
-    Collatz-Wielandt bracket is already narrower than ``tol`` (relative);
-    otherwise it costs two matvecs and the solve is the flat-start solve,
-    bit for bit.  A kept start usually passes the residual test at once;
-    its two products serve the first step and, if the solve stops there,
-    its bracket is returned, as is the bracket of an inverse-phase stop.
+    ``start`` is an optional pair of positive right and left vectors (two
+    arrays, or the rows of one) to iterate from instead of the flat ones.
+    It is kept only if its own Collatz-Wielandt bracket is already narrower
+    than ``tol`` (relative); otherwise it costs two matvecs and the solve is
+    the flat-start solve, bit for bit.  A kept start usually passes the residual test at once and
+    returns after that one check, with its own products and bracket.
     """
     M.chain.primitivity_power()  # raises NotPrimitive on hand-built chains
     matrix = M.matrix
     n = matrix.shape[0]
-    h = np.full(n, 1.0 / n)
-    v = np.full(n, 1.0 / n)
-    products = bracket = None  # (M h, v M) and bracket of the current (h, v), once known
+    x = mx = bracket = None  # (h, v), (M h, v M) and bracket of x, once known
     if start is not None:
-        gate = matrix @ start[0], start[1] @ matrix
-        lo, hi = _collatz_wielandt(*start, *gate)
-        if hi - lo <= tol * lo:
-            (h, v), products, bracket = start, gate, (lo, hi)
+        x = np.asarray(start)
+        mx = np.array((matrix @ x[0], x[1] @ matrix))
+        lo, hi = _collatz_wielandt(x, mx)
+        x, mx, bracket = (x, mx, (lo, hi)) if hi - lo <= tol * lo else (None, None, None)
+    if x is None:
+        x = np.full((2, n), 1.0 / n)
     history: deque[float] = deque(maxlen=_WINDOW + 1)
     work = None  # allocated on switching to inverse iteration
     best_res = best_width = math.inf
     stalls = 0
     for it in range(1, max_iter + 1):
-        mh, vm = products or (matrix @ h, v @ matrix)
-        lam = float(v @ mh) / float(v @ h)
+        h, v = x
+        if mx is None:
+            mx = np.array((matrix @ h, v @ matrix))
+        vh = float(v @ h)
+        if vh == 0:
+            raise NoConvergence("v @ h underflowed to 0, so the Rayleigh quotient is undefined")
+        lam = float(v @ mx[0]) / vh
         if lam <= 0 or not math.isfinite(lam):
             raise NoConvergence(f"degenerate eigenvalue estimate {lam}")
-        res = max(float(np.abs(mh - lam * h).max()) / (lam * float(h.max())),
-                  float(np.abs(vm - lam * v).max()) / (lam * float(v.max())))
+        (d_h, d_v), (x_h, x_v) = np.abs(mx - lam * x).max(axis=1).tolist(), x.max(axis=1).tolist()
+        res = max(d_h / (lam * x_h), d_v / (lam * x_v))
         if res <= tol:
-            break
-        products = bracket = None  # h and v move on below
+            lo, hi = bracket = bracket or _collatz_wielandt(x, mx)
+            if hi == math.inf or hi - lo <= _CERTIFIED * lo:
+                break
         if work is None:
             history.append(res)
             if not _power_stalls(history, tol, n):
-                h = mh / mh.sum()
-                v = vm / vm.sum()
+                x, mx, bracket = mx / mx.sum(axis=1, keepdims=True), None, None
                 continue
-            if not (np.all(h > 0) and np.all(v > 0)):
+            if not x.min() > 0:
                 raise NoConvergence("Perron vector entries underflow the double range")
             work = np.empty_like(matrix)
-        lo, hi = _collatz_wielandt(h, v, mh, vm)
+        lo, hi = bracket or _collatz_wielandt(x, mx)
         width = (hi - lo) / lo
         if width <= tol:
             bracket = lo, hi
@@ -326,12 +345,12 @@ def rpf_solve(M: WeightedMatrix, tol: float = 1e-13, start: tuple[np.ndarray, ..
             if stalls >= _STALL:
                 raise NoConvergence(f"inverse iteration stalled at residual {best_res:.3g} above {tol}")
         shift = hi * (1.0 + _SHIFT)
-        h = _inverse_step(matrix, h, shift, work)
-        v = _inverse_step(matrix.T, v, shift, work)
+        x = np.array((_inverse_step(matrix, h, shift, work), _inverse_step(matrix.T, v, shift, work)))
+        mx = bracket = None
     else:
         raise NoConvergence(f"Perron solve did not reach residual {tol} in {max_iter} steps")
     # Each ratio is a sum of at most n non-negative products and a division.
-    lo, hi = bracket or _collatz_wielandt(h, v, mh, vm)
+    lo, hi = bracket
     slack = (n + 2) * float(np.finfo(np.float64).eps)
     v = v / v.sum()
     return RPFData(lam, h / float(v @ h), v, res, it, lo * (1.0 - slack), hi * (1.0 + slack))
@@ -381,14 +400,14 @@ def gibbs_measure(rpf: RPFData, M: WeightedMatrix) -> MarkovMeasure:
     ``P[w, w'] = M[w, w'] h[w'] / (lam h[w])`` with stationary vector
     ``pi = left * right``; this measure maximizes entropy plus the integral
     of the potential.  Raises :class:`NoConvergence` when entries of ``h``
-    have underflowed so far that the chain comes out NaN.
+    have underflowed or overflowed so far that the chain comes out NaN.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         P = M.matrix * rpf.right[None, :] / (rpf.eigenvalue * rpf.right[:, None])
         P = P / P.sum(axis=1, keepdims=True)
         pi = _polish_stationary(rpf.left * rpf.right, P)
     if not (np.isfinite(P).all() and np.isfinite(pi).all()):
-        raise NoConvergence("Perron vector entries underflow, so the Markov chain is undefined")
+        raise NoConvergence("Perron vector entries leave the double range, so the chain is undefined")
     return MarkovMeasure(M.chain, P, pi)
 
 

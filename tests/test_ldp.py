@@ -745,6 +745,22 @@ def test_deviation_binned_brackets_contain_truth(fs2):
         assert dp.mass_low - 1e-12 <= en.mass <= dp.mass_high + 1e-12
 
 
+def test_deviation_does_not_snap_values_to_a_nearby_lattice(fs2):
+    """1/3 + 1e-14 is not the double nearest 1/3, so it starts no lattice:
+    snapped to 1/3 it fell below the interval's left end 1/3 + 5e-15, and
+    ``dp`` and ``enumerate`` both gave mass 0 where it is 1/2."""
+    third = 1 / 3 + 1e-14
+    assert _detect_lattice(np.array([0.0, third])) is None
+    assert _detect_lattice(np.array([0.0, 1 / 3, 0.1])) is not None
+    mu = leaf_measure(fs2, Potential.zero(fs2), (0,))
+    phi = Potential(1, {(0,): 0.0, (1,): third})
+    iv = Interval(1 / 3 + 5e-15, 1.0)
+    assert deviation_mass_exact(mu, phi, iv, 1, mode="enumerate").mass == 0.5
+    assert deviation_mass_exact(mu, phi, iv, 1).mass == 0.5
+    dp = deviation_mass_exact(mu, phi, iv, 1, mode="dp")
+    assert dp.method == "dp-binned" and dp.mass_low <= 0.5 <= dp.mass_high
+
+
 def _full_width_masses(mu, z, n):
     """The lattice DP without pruning: the mass of every sum 0 .. n * max z,
     each step in fresh arrays."""

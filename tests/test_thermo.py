@@ -12,9 +12,12 @@ from ldplab import (
     NoConvergence,
     NotPrimitive,
     Potential,
+    ValidationError,
+    admissible_words,
     birkhoff_sum,
     entropy,
     equilibrium_measure,
+    ergodic_range,
     integrate,
     phi_vector,
     pressure,
@@ -97,6 +100,61 @@ def test_recoded_chain_is_primitive(m, block):
         succ, degree = chain.successor_table
         for s in range(chain.num_states):
             assert succ[s, :degree[s]].tolist() == np.flatnonzero(chain.adjacency[s]).tolist()
+
+
+def _loop_recode(spec, block):
+    """Reference for :func:`recode`: the word-tuple loop over
+    ``admissible_words``, with no recorded exponent, so the chain's
+    ``primitivity_power`` comes from boolean matrix powers."""
+    states = tuple(admissible_words(spec, block))
+    index = {w: i for i, w in enumerate(states)}
+    n = len(states)
+    adjacency = np.zeros((n, n), dtype=np.uint8)
+    step = np.full((n, spec.alphabet_size), -1, dtype=np.int64)
+    for i, w in enumerate(states):
+        for a in spec.successors(w[-1]):
+            j = index[w[1:] + (a,)]
+            adjacency[i, j] = 1
+            step[i, a] = j
+    return RecodedChain(spec, block, states, index, adjacency, step)
+
+
+def _same_chain(chain, want):
+    assert chain.states == want.states and chain.index == want.index
+    assert all(type(a) is int for w in chain.states for a in w)
+    for name in ("adjacency", "step"):
+        got, ref = getattr(chain, name), getattr(want, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+    assert chain.primitivity_power() == want.primitivity_power()
+
+
+def test_recode_matches_the_word_loop_reference():
+    """Integer word codes give the loop's states, index, adjacency, step and
+    primitivity exponent, on seeded random specs: m <= 4 at blocks 1-4, and
+    16 symbols at blocks 2 and 3."""
+    rng = np.random.default_rng(20261019)
+    cases = [(m, k) for m in (1, 2, 3, 4) for k in (1, 2, 3, 4) for _ in range(4)]
+    cases += [(16, k) for k in (2, 3) for _ in range(3)]
+    for m, k in cases:
+        while True:
+            try:
+                spec = validate_spec((rng.random((m, m)) < (0.3 if m == 16 else 0.6)).astype(int))
+                break
+            except LdplabError:
+                continue
+        _same_chain(recode(spec, k), _loop_recode(spec, k))
+
+
+def test_recode_rejects_blocks_whose_word_codes_overflow_int64():
+    """A 16-cycle with one loop has few words of any length, but 16 ** 16
+    codes do not fit in int64: block 16 raises before building anything,
+    and block 15 (codes up to 2 ** 60) still matches the loop."""
+    A = np.roll(np.eye(16, dtype=int), 1, axis=1)
+    A[0, 0] = 1
+    spec = validate_spec(A)
+    with pytest.raises(ValidationError, match="int64"):
+        recode(spec, 16)
+    _same_chain(recode(spec, 15), _loop_recode(spec, 15))
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +397,10 @@ def _masked_bracket(h, v, mh, vm):
 
 def _recomputing_rpf(M, tol, start):
     """Reference for :func:`rpf_solve`: both products at every step and the
-    bracket once more after the loop, reusing nothing.  Also returns whether
-    the start was kept and whether the solve reached the inverse phase."""
+    bracket once more after the loop, reusing nothing; a residual stop needs
+    a bracket within 1e-10 (relative) or an infinite upper end.  Also
+    returns whether the start was kept and whether the solve reached the
+    inverse phase."""
     matrix, n = M.matrix, M.matrix.shape[0]
     h, v = np.full(n, 1.0 / n), np.full(n, 1.0 / n)
     kept = False
@@ -357,7 +417,9 @@ def _recomputing_rpf(M, tol, start):
         res = max(float(np.max(np.abs(mh - lam * h))) / (lam * float(np.max(h))),
                   float(np.max(np.abs(vm - lam * v))) / (lam * float(np.max(v))))
         if res <= tol:
-            break
+            lo, hi = _masked_bracket(h, v, mh, vm)
+            if hi == math.inf or hi - lo <= 1e-10 * lo:
+                break
         if work is None:
             history = (history + [res])[-thermo._WINDOW - 1:]
             if not thermo._power_stalls(history, tol, n):
@@ -412,6 +474,43 @@ def test_tilt_solves_match_the_two_eig_recomputing_reference():
             seen["kept" if kept else "dropped"] += 1
             seen["inverse"] += inverse
     assert min(seen["kept"], seen["dropped"], seen["inverse"]) >= 5, seen
+
+
+def _ladder_families(rng):
+    """Tilt families of seeded random primitive chains of 48 to 400 states,
+    two per size band as the benchmark's chain ladder draws them, with
+    potentials of scale 0.5."""
+    fams = []
+    for target, m, k in ((50, 8, 2), (50, 4, 3), (100, 16, 2), (100, 8, 3), (200, 16, 2),
+                         (200, 8, 3), (400, 16, 3), (400, 8, 3)):
+        density = (target / m) ** (1.0 / (k - 1)) / m
+        while True:
+            try:
+                spec = validate_spec((rng.random((m, m)) < density).astype(int))
+            except LdplabError:
+                continue
+            if 48 <= len(admissible_words(spec, k)) <= 400:
+                break
+        chain = recode(spec, k)
+        n = chain.num_states
+        fams.append(TiltFamily(chain, chain.adjacency.astype(np.float64),
+                               0.5 * rng.standard_normal(n), 0.5 * rng.standard_normal(n)))
+    return fams
+
+
+def test_flat_solves_above_the_dense_start_match_the_recomputing_reference():
+    """Where the stacked power step saves most, on chains of 48 to 400
+    states, flat-start tilt solves return the reference's eigendata field
+    by field."""
+    rng = np.random.default_rng(20261020)
+    sizes = set()
+    for fam in _ladder_families(rng):
+        sizes.add(fam.chain.num_states)
+        for t in (0.0, 0.5, -0.5, 1.0, -1.0):
+            M = WeightedMatrix(fam.chain, fam.matrix * np.exp(fam.gvec + t * fam.pvec)[:, None])
+            want, _, _ = _recomputing_rpf(M, fam.tol, None)
+            _same_rpf(fam.rpf(t), want)
+    assert min(sizes) >= 48 and max(sizes) > 300, sizes
 
 
 def _plain_bisection(fam, alpha, tol=1e-10):
@@ -520,6 +619,45 @@ def test_pressure_recoding_invariance(fs2, gm):
             assert pressure(spec, phi, block=k) == pytest.approx(base, abs=1e-10)
 
 
+def test_pressure_is_certified_where_a_small_residual_is_not():
+    """The full 3-shift with this memory-2 potential has the fixed point
+    0^inf of weight e^91, so P >= 91.  Three power steps reach a residual
+    of 2.2e-14 on the block of 2-words near 22, whose bracket spans e^90 to
+    e^91; a residual stop alone returned 90.00000000000003."""
+    fs3 = validate_spec(np.ones((3, 3), dtype=int))
+    H = Potential(2, {(0, 0): 91.0, (0, 1): -77.0, (0, 2): -20.0, (1, 0): -135.0, (1, 1): -5.0,
+                      (1, 2): 1.0, (2, 0): 16.0, (2, 1): 126.0, (2, 2): 90.0})
+    assert pressure(fs3, H) >= 91.0
+    M = transfer_matrix(recode(fs3, 2), H)
+    rpf = rpf_solve(M)
+    h, v = rpf.right, rpf.left
+    ratios = (M.matrix @ h / h, v @ M.matrix / v)
+    lo, hi = max(r.min() for r in ratios), min(r.max() for r in ratios)
+    assert math.log(hi) >= 91.0 and hi - lo <= 1e-10 * lo
+
+
+def test_no_pressure_below_the_maximum_cycle_mean(fs2):
+    """P(H) >= max cycle mean of H (the measure on a periodic orbit has
+    entropy 0), on 1,000 seeded integer tables in [-150, 150] each on fs3
+    at memory 2 and on fs2 at memory 3.  A solve may fail with a typed
+    ``NoConvergence``, but not return a root its bracket does not certify."""
+    fs3 = validate_spec(np.ones((3, 3), dtype=int))
+    rng = np.random.default_rng(20261019)
+    raised = 0
+    for spec, k in ((fs3, 2), (fs2, 3)):
+        words = admissible_words(spec, k)
+        for _ in range(1000):
+            H = Potential(k, dict(zip(words, rng.integers(-150, 151, len(words)).astype(float).tolist())))
+            top = ergodic_range(spec, H)[1]
+            try:
+                P = pressure(spec, H)
+            except NoConvergence:
+                raised += 1
+                continue
+            assert P >= top - 1e-12 * max(1.0, abs(top)), H.table
+    assert raised <= 10
+
+
 def test_pressure_convex_along_tilts(fs2, gm):
     ind = {s.alphabet_size: Potential.indicator(s, 1) for s in (fs2, gm)}
     for spec in (fs2, gm):
@@ -586,6 +724,27 @@ def test_gibbs_stochasticity_and_stationarity(fs2, gm):
             assert np.max(np.abs(mu.transition.sum(axis=1) - 1)) < 1e-12
             assert np.max(np.abs(mu.stationary @ mu.transition - mu.stationary)) < 1e-12
             assert np.all((mu.transition > 0) == (mu.chain.adjacency > 0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [22, 23, 55, 92])
+def test_equilibrium_measure_on_extreme_potentials_returns_or_raises_typed(seed):
+    """Memory-3 potentials of scale 300 on random 4-symbol specs: seeds 22
+    and 23 reach ``v @ h == 0`` in the solve, and 55 and 92 overflow the
+    chain's products.  Each returns a measure or raises an LdplabError, with
+    no bare ``ZeroDivisionError`` or ``RuntimeWarning``."""
+    rng = np.random.default_rng(seed)
+    A = (rng.random((4, 4)) < 0.7).astype(int)
+    if seed % 2:
+        np.fill_diagonal(A, 1)
+    spec = validate_spec(A)
+    words = admissible_words(spec, 3)
+    H = Potential(3, dict(zip(words, np.clip(rng.normal(0, 300, len(words)), -700, 700).tolist())))
+    try:
+        mu = equilibrium_measure(spec, H)
+    except LdplabError:
+        return
+    assert np.isfinite(mu.transition).all() and np.isfinite(mu.stationary).all()
 
 
 def test_gibbs_raises_when_perron_vector_underflows(fs3_underflow):
