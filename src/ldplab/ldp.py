@@ -109,17 +109,19 @@ def _cycle_range(chain: RecodedChain, w: np.ndarray) -> tuple[float, float]:
 
 
 def _alpha_range(fam: TiltFamily, alpha: float) -> tuple[float, float]:
-    """``(q'(-1), q'(1))`` if ``alpha`` lies more than ``solve_mean``'s
-    tolerance 1e-10 inside it, else (or if either solve fails) the ergodic
-    range.  Each q'(t) is an invariant mean, so in the first case ``alpha``
-    is strictly inside the ergodic range, which is wider than 1e-13."""
+    """The range of ``q'`` over 0 and the end of ``[-1, 1]`` on ``alpha``'s
+    side (both ends if ``alpha`` is within 1e-10 of ``q'(0)``) if ``alpha`` lies
+    more than ``solve_mean``'s tolerance 1e-10 inside it, else (or if a solve
+    fails) the ergodic range.  Each q'(t) is an invariant mean, so in the first
+    case ``alpha`` is strictly inside the ergodic range, wider than 1e-13."""
     try:
-        lo, hi = fam.q_prime(-1.0), fam.q_prime(1.0)
+        mid = fam.q_prime(0.0)
+        ends = [mid] + [fam.q_prime(t) for t in (-1.0, 1.0) if (alpha - mid) * t >= -1e-10]
     except NoConvergence:
         pass
     else:
-        if lo + 1e-10 < alpha < hi - 1e-10:
-            return lo, hi
+        if min(ends) + 1e-10 < alpha < max(ends) - 1e-10:
+            return min(ends), max(ends)
     return _cycle_range(fam.chain, fam.pvec)
 
 
@@ -168,8 +170,9 @@ def rate_scalar(spec: SubshiftSpec, base: Potential, obs: Potential, alpha: floa
     solving ``q'(t) = alpha``; ``+inf`` outside the closed ergodic range,
     and the monotone limit (evaluated at the capped bracket) at its ends.
     The value is ``rate_curve``'s, but the ergodic range is computed only if
-    ``alpha`` is not more than 1e-10 inside ``(q'(-1), q'(1))``, solved
-    first anyway, or if either of those solves fails.  NaN raises ValueError.
+    ``alpha`` is not more than 1e-10 inside the range of ``q'`` over ``0``
+    and the end of ``[-1, 1]`` on ``alpha``'s side, which the bisection
+    reuses, or if one of those solves fails.  NaN raises ValueError.
     """
     alpha = _not_nan("alpha", alpha)
     fam = TiltFamily.of(spec, base, obs)

@@ -168,6 +168,8 @@ class RPFData:
 
 #: Residual contraction is measured over this many power steps.
 _WINDOW = 8
+#: Share of a window's predicted power steps run unchecked (see :func:`rpf_solve`).
+_SKIP = 0.75
 #: Power iteration continues while it predicts at most
 #: ``max(_POWER_STEPS, n * n / _INVERSE_COST)`` more steps.  One inverse step
 #: (two dense solves) costs about ``n * n / 2000`` power steps with one BLAS
@@ -210,16 +212,16 @@ def _collatz_wielandt(x: np.ndarray, mx: np.ndarray) -> tuple[float, float]:
             min(float(r.max()) if len(r) == x.shape[1] else math.inf for r in ratios))
 
 
-def _power_stalls(history: deque[float], tol: float, n: int) -> bool:
-    """Whether the residual contraction over the last ``_WINDOW`` power steps
-    predicts more remaining steps than the inverse phase would cost."""
-    if len(history) <= _WINDOW:
-        return False
+def _power_stalls(history: deque[float], tol: float, n: int) -> float:
+    """Power steps the residual still needs to reach ``tol`` at its rate
+    ``|lam_2 / lam_1|`` over the last ``_WINDOW`` steps (Golub and Van Loan,
+    7.3); 0 before the window is full or below ``tol``; ``inf`` (it stalls) if
+    it did not shrink or the steps would cost more than the inverse phase."""
+    if len(history) <= _WINDOW or history[-1] <= tol:
+        return 0.0
     rate = (history[-1] / history[0]) ** (1.0 / _WINDOW)
-    if not rate < 1.0:
-        return True
-    remaining = math.log(tol / history[-1]) / math.log(rate)
-    return remaining > max(_POWER_STEPS, n * n / _INVERSE_COST)
+    remaining = math.log(tol / history[-1]) / math.log(rate) if rate < 1.0 else math.inf
+    return remaining if remaining <= max(_POWER_STEPS, n * n / _INVERSE_COST) else math.inf
 
 
 def _inverse_step(matrix: np.ndarray, x: np.ndarray, shift: float, work: np.ndarray) -> np.ndarray:
@@ -279,11 +281,13 @@ def rpf_solve(M: WeightedMatrix, tol: float = 1e-13,
     upper bound of the current vectors, so ``(shift * I - M)`` has a
     positive inverse, and the shift falls towards ``lam`` with the bracket.
     The inverse phase also stops once the bracket is narrower than ``tol``
-    (relative).  The solve raises :class:`NoConvergence` if ``v @ h``
-    vanishes, if a vector loses positivity or finiteness, or if ``_STALL``
-    inverse steps narrow neither residual nor bracket.  ``max_iter`` caps
-    the power and inverse steps together.  The residual and bracket are
-    those of the iterate the solve stopped on.
+    (relative).  A window that keeps the power phase runs ``_SKIP`` of the
+    steps it predicts as bare steps, two products and a normalisation with
+    no check, then checks again from a fresh window, which may skip again.
+    The solve raises :class:`NoConvergence` if ``v @ h`` vanishes, if a
+    vector loses positivity or finiteness, or if ``_STALL`` inverse steps
+    narrow neither residual nor bracket.  ``max_iter`` caps all steps
+    together.  The residual and bracket are those of the stop iterate.
 
     ``start`` is an optional pair of positive right and left vectors (two
     arrays, or the rows of one) to iterate from instead of the flat ones.
@@ -306,8 +310,9 @@ def rpf_solve(M: WeightedMatrix, tol: float = 1e-13,
     history: deque[float] = deque(maxlen=_WINDOW + 1)
     work = None  # allocated on switching to inverse iteration
     best_res = best_width = math.inf
-    stalls = 0
-    for it in range(1, max_iter + 1):
+    stalls = it = 0
+    while it < max_iter:
+        it += 1
         h, v = x
         if mx is None:
             mx = np.array((matrix @ h, v @ matrix))
@@ -325,8 +330,18 @@ def rpf_solve(M: WeightedMatrix, tol: float = 1e-13,
                 break
         if work is None:
             history.append(res)
-            if not _power_stalls(history, tol, n):
+            remaining = _power_stalls(history, tol, n)
+            if remaining < math.inf:
                 x, mx, bracket = mx / mx.sum(axis=1, keepdims=True), None, None
+                bare = min(int(_SKIP * remaining), max_iter - it - 1)
+                if bare > 0:  # a 0/0 here leaves NaN for the next check to reject
+                    it, y = it + bare, np.empty_like(x)
+                    history.clear()
+                    with np.errstate(all="ignore"):
+                        for _ in range(bare):
+                            np.matmul(matrix, x[0], out=y[0])
+                            np.matmul(x[1], matrix, out=y[1])
+                            np.divide(y, y.sum(axis=1, keepdims=True), out=x)
                 continue
             if not x.min() > 0:
                 raise NoConvergence("Perron vector entries underflow the double range")
@@ -500,19 +515,21 @@ class TiltFamily:
         bracket also stops short of the cap at a tilt so large that its
         chain cannot be computed (:class:`NoConvergence`).
 
-        A midpoint is solved only if no tilt solved in this call decides its
-        branch: one at ``s >= mid`` with ``q'(s) < alpha - 2 tol`` moves ``lo``,
-        one at ``s <= mid`` with ``q'(s) > alpha + 2 tol`` moves ``hi``.  If
+        A midpoint is solved only if no tilt solved in this call, or the
+        tilts 0 and +-1 the family already holds, decides its branch: one at
+        ``s >= mid`` with ``q'(s) < alpha - 2 tol`` moves ``lo``, one at
+        ``s <= mid`` with ``q'(s) > alpha + 2 tol`` moves ``hi``.  An end
+        ``+-1`` that such a tilt decides is neither solved nor widened.  If
         computed ``q'`` is monotone to within ``tol / 2``, the result is the
         plain bisection's bit for bit, but it may return where a skipped
-        midpoint's solve would have raised :class:`NoConvergence`.  After the
+        solve would have raised :class:`NoConvergence`.  After the
         third solved midpoint that does not stop, one guide pass finds ``c``
         with ``|q'(c) - alpha| <= tol`` by Illinois regula falsi, then solves
         on each side of ``c`` the last midpoint of the bisection's path that a
         secant predicts more than ``2.5 tol`` off; a raising solve ends it.
         """
         cap = self.t_limit
-        known: dict[float, float] = {}  # q'(t) - alpha at each tilt t solved in this call
+        known: dict[float, float] = {}  # q'(t) - alpha at each tilt t solved or held
         below, above, solved = -math.inf, math.inf, 0  # midpoints <= below, >= above are decided
 
         def solve(t: float) -> float:
@@ -559,15 +576,19 @@ class TiltFamily:
                 for mid in [m for m in targets.values() if below < m < above]:
                     solve(mid)
 
-        hi, d_hi = widen(1.0, solve(1.0))
-        lo, d_lo = widen(-1.0, solve(-1.0))
+        for t in [t for t in (0.0, -1.0, 1.0) if t in self._solved]:
+            with suppress(NoConvergence):
+                solve(t)
+        hi, d_hi = (1.0, math.inf) if above <= 1.0 else widen(1.0, solve(1.0))
+        lo, d_lo = (-1.0, -math.inf) if below >= -1.0 else widen(-1.0, solve(-1.0))
         if d_hi < 0:
             return hi, True
         if d_lo > 0:
             return lo, True
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            d = -math.inf if mid <= below else math.inf if mid >= above else solve(mid)
+            d = (known[mid] if mid in known else -math.inf if mid <= below
+                 else math.inf if mid >= above else solve(mid))
             if abs(d) <= tol:
                 return mid, False
             lo, hi = (mid, hi) if d < 0 else (lo, mid)

@@ -22,6 +22,7 @@ from ldplab import (
     RPFData,
     TiltFamily,
     ValidationError,
+    admissible_words,
     contraction_check,
     deviation_mass_exact,
     deviation_mass_mc,
@@ -524,6 +525,23 @@ def test_solve_mean_guides_no_early_stop(gm, monkeypatch):
     calls = _count_solves(monkeypatch)
     assert family().solve_mean(alpha) == (0.5, False)
     assert len(calls) == 4
+
+
+def test_rate_scalar_solves_only_the_end_on_alphas_side(gm, monkeypatch):
+    """``rate_scalar`` solves ``q'(0)`` and only the end on ``alpha``'s side,
+    and the bisection reuses both: at ``alpha = q'(+-0.5)`` on the 34-state
+    chain (flat starts) it solves 0, the near end and 0.5, one tilt fewer
+    than solving both ends."""
+    base = Potential(7, dict.fromkeys(admissible_words(gm, 7), 0.0))
+    obs = Potential.indicator(gm, 1)
+    fam = TiltFamily.of(gm, base, obs)
+    assert fam.chain.num_states == 34
+    cases = [(alpha := fam.q_prime(t), t * alpha - fam.q(t)) for t in (0.5, -0.5)]
+    calls = _count_solves(monkeypatch)
+    for alpha, rate in cases:
+        calls.clear()
+        assert rate_scalar(gm, base, obs, alpha) == pytest.approx(rate, abs=1e-12)
+        assert len(calls) == 3
 
 
 def test_duality_double_transform_recovers_q(fs2, gm):

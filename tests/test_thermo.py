@@ -395,12 +395,14 @@ def _masked_bracket(h, v, mh, vm):
     return max(lo_h, lo_v), min(hi_h, hi_v)
 
 
-def _recomputing_rpf(M, tol, start):
+def _recomputing_rpf(M, tol, start, every_step=False):
     """Reference for :func:`rpf_solve`: both products at every step and the
     bracket once more after the loop, reusing nothing; a residual stop needs
-    a bracket within 1e-10 (relative) or an infinite upper end.  Also
-    returns whether the start was kept and whether the solve reached the
-    inverse phase."""
+    a bracket within 1e-10 (relative) or an infinite upper end.  A window
+    that keeps the power phase is followed by ``int(_SKIP * remaining)``
+    unchecked steps and a fresh window, unless ``every_step`` checks every
+    step.  Also returns whether the start was kept and whether the solve
+    reached the inverse phase."""
     matrix, n = M.matrix, M.matrix.shape[0]
     h, v = np.full(n, 1.0 / n), np.full(n, 1.0 / n)
     kept = False
@@ -409,7 +411,9 @@ def _recomputing_rpf(M, tol, start):
         if hi - lo <= tol * lo:
             (h, v), kept = start, True
     history, work, best_res, best_width, stalls = [], None, math.inf, math.inf, 0
-    for it in range(1, 10 ** 6):
+    it = 0
+    while it < 10 ** 6:
+        it += 1
         mh, vm = matrix @ h, v @ matrix
         lam = float(v @ mh) / float(v @ h)
         if lam <= 0 or not math.isfinite(lam):
@@ -422,8 +426,14 @@ def _recomputing_rpf(M, tol, start):
                 break
         if work is None:
             history = (history + [res])[-thermo._WINDOW - 1:]
-            if not thermo._power_stalls(history, tol, n):
+            remaining = thermo._power_stalls(history, tol, n)
+            if remaining < math.inf:
                 h, v = mh / mh.sum(), vm / vm.sum()
+                bare = 0 if every_step else int(thermo._SKIP * remaining)
+                for _ in range(bare):
+                    mh, vm = matrix @ h, v @ matrix
+                    h, v = mh / mh.sum(), vm / vm.sum()
+                it, history = it + bare, history if bare == 0 else []
                 continue
             if not (np.all(h > 0) and np.all(v > 0)):
                 raise NoConvergence("Perron vector entries underflow the double range")
@@ -597,6 +607,62 @@ def test_solve_mean_is_the_plain_bisection_bit_for_bit():
             assert fam.solve_mean(alpha, tol) == _plain_bisection(fam, alpha, tol), (fam, alpha)
             compared += 1
     assert compared >= 500
+
+
+def test_solve_mean_reuses_the_solved_tilts_zero_and_one(monkeypatch):
+    """A family that already holds the tilts 0 and +-1 returns a fresh
+    family's ``(t, capped)`` on every case of the bit-for-bit test, and its
+    bisection never solves more tilts, since those three decide midpoints
+    and ends without a solve."""
+    calls = []
+    solve = thermo.rpf_solve
+    monkeypatch.setattr(thermo, "rpf_solve", lambda *args: calls.append(1) or solve(*args))
+
+    def solve_mean(fam, alpha, tol, held):
+        fresh = TiltFamily(fam.chain, fam.matrix, fam.gvec, fam.pvec, fam.tol)
+        for t in held:
+            fresh.rpf(t)
+        calls.clear()
+        return fresh.solve_mean(alpha, tol), len(calls)
+
+    compared = 0
+    for fam, tol in _bisection_families():
+        amin, amax = _cycle_range(fam.chain, fam.pvec)
+        alphas = [amin + (amax - amin) * k / 24 for k in range(1, 24)]
+        alphas += [amin + 1e-6, amin + 1e-4, amax - 1e-4, amax - 1e-6]
+        alphas += [fam.q_prime(t) for t in (-1.5, -1.0, -0.5, 0.5, 0.75, 1.0, 2.0)]
+        for alpha in alphas:
+            got, held_solves = solve_mean(fam, alpha, tol, (0.0, -1.0, 1.0))
+            want, fresh_solves = solve_mean(fam, alpha, tol, ())
+            assert got == want and held_solves <= fresh_solves, (fam, alpha)
+            compared += 1
+    assert compared >= 500
+
+
+def test_scheduled_checks_return_certified_eigendata():
+    """Residual checks on a schedule still stop only where the stop rule
+    holds: recomputed from the returned vectors, the residual is within
+    ``tol`` and the Collatz-Wielandt bracket within ``_CERTIFIED``, and the
+    eigenvalue is within 1e-13 (relative) of a solve that checks every
+    step, on chains of 48 to 400 states and on the 34-state golden mean at
+    tilts whose solves reach the inverse phase."""
+    gm = load_spec(str(SPECS / "golden.json"))[0]
+    chain = recode(gm, 7)
+    golden = TiltFamily(chain, chain.adjacency.astype(np.float64), np.zeros(34),
+                        phi_vector(chain, Potential.indicator(gm, 1)))
+    cases = [(fam, t) for fam in _ladder_families(np.random.default_rng(20261021))
+             for t in (0.0, 0.5, -0.5, 1.0, -1.0)]
+    for fam, t in cases + [(golden, t) for t in (40.0, 100.0, 150.0)]:
+        M = fam._weighted(t)
+        rpf = fam.rpf(t)
+        lam, h, v = rpf.eigenvalue, rpf.right, rpf.left
+        mh, vm = M.matrix @ h, v @ M.matrix
+        residual = max(np.abs(mh - lam * h).max() / (lam * h.max()),
+                       np.abs(vm - lam * v).max() / (lam * v.max()))
+        lo, hi = _masked_bracket(h, v, mh, vm)
+        assert residual <= fam.tol and hi - lo <= thermo._CERTIFIED * lo, (fam, t)
+        want, _, _ = _recomputing_rpf(M, fam.tol, None, every_step=True)
+        assert lam == pytest.approx(want.eigenvalue, rel=1e-13, abs=0.0), (fam, t)
 
 
 # ---------------------------------------------------------------------------
