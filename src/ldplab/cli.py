@@ -182,8 +182,8 @@ def _parse_n_range(text: str) -> list[int]:
     parts = [int(p) for p in text.split(":")]
     if len(parts) == 2:
         parts.append(1)
-    if len(parts) != 3 or parts[2] < 1:
-        raise ValueError(f"length range must look like 'start:stop[:step]', got {text!r}")
+    if len(parts) != 3 or parts[2] < 1 or parts[1] < parts[0]:
+        raise ValueError(f"length range must look like 'start:stop[:step]' with start <= stop, got {text!r}")
     return list(range(parts[0], parts[1] + 1, parts[2]))
 
 

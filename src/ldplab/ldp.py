@@ -154,10 +154,11 @@ def _rate_point(fam: TiltFamily, alpha_range: tuple[float, float],
                 alpha: float) -> tuple[float, float | None, bool]:
     """``(value, tilt, boundary)`` of the rate at ``alpha``."""
     amin, amax = alpha_range
+    if amax - amin <= 1e-13:  # one point; a computed q' may land a few ulp off it
+        slack = 4.0 * math.ulp(max(abs(amin), abs(amax)))
+        return (0.0, 0.0, True) if amin - slack <= alpha <= amax + slack else (math.inf, None, True)
     if alpha < amin or alpha > amax:
         return math.inf, None, True
-    if amax - amin <= 1e-13:
-        return 0.0, 0.0, True
     t, capped = fam.solve_mean(alpha)
     value = t * alpha - fam.q(t)
     return max(value, 0.0), t, capped or alpha in (amin, amax)

@@ -450,6 +450,8 @@ def axioms_check(spec: SubshiftSpec, sample_count: int = 1000, seed: int = 0) ->
     Violations indicate implementation bugs; the report also carries the
     largest observed contraction ratios.
     """
+    if sample_count < 0:
+        raise ValueError(f"sample_count must be >= 0, got {sample_count}")
     rng = np.random.default_rng(seed)
     checks = {"identity": 0, "compose_left": 0, "compose_right": 0,
               "equivariance": 0, "stable_contraction": 0, "unstable_contraction": 0}

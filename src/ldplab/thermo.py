@@ -280,10 +280,11 @@ def rpf_solve(M: WeightedMatrix, tol: float = 1e-13,
     in Noda's iteration: each step shifts to just above the Collatz-Wielandt
     upper bound of the current vectors, so ``(shift * I - M)`` has a
     positive inverse, and the shift falls towards ``lam`` with the bracket.
-    The inverse phase also stops once the bracket is narrower than ``tol``
-    (relative).  A window that keeps the power phase runs ``_SKIP`` of the
-    steps it predicts as bare steps, two products and a normalisation with
-    no check, then checks again from a fresh window, which may skip again.
+    The inverse phase also stops once each vector's own bracket is narrower
+    than ``tol`` (relative); their intersection alone is narrow as soon as
+    one vector is exact.  A window that keeps the power phase runs ``_SKIP``
+    of the steps it predicts as bare steps, two products and a normalisation
+    with no check, then checks again from a fresh window, which may skip again.
     The solve raises :class:`NoConvergence` if ``v @ h`` vanishes, if a
     vector loses positivity or finiteness, or if ``_STALL`` inverse steps
     narrow neither residual nor bracket.  ``max_iter`` caps all steps
@@ -347,7 +348,7 @@ def rpf_solve(M: WeightedMatrix, tol: float = 1e-13,
                 raise NoConvergence("Perron vector entries underflow the double range")
             work = np.empty_like(matrix)
         lo, hi = bracket or _collatz_wielandt(x, mx)
-        width = (hi - lo) / lo
+        width = float(np.ptp(mx / x, axis=1).max()) / lo  # the wider vector's own bracket
         if width <= tol:
             bracket = lo, hi
             break
@@ -522,15 +523,18 @@ class TiltFamily:
         ``+-1`` that such a tilt decides is neither solved nor widened.  If
         computed ``q'`` is monotone to within ``tol / 2``, the result is the
         plain bisection's bit for bit, but it may return where a skipped
-        solve would have raised :class:`NoConvergence`.  After the
-        third solved midpoint that does not stop, one guide pass finds ``c``
-        with ``|q'(c) - alpha| <= tol`` by Illinois regula falsi, then solves
-        on each side of ``c`` the last midpoint of the bisection's path that a
-        secant predicts more than ``2.5 tol`` off; a raising solve ends it.
+        solve would have raised :class:`NoConvergence`.  From the third
+        midpoint that nothing decides, one probe comes first: the root of the
+        inverse quadratic interpolant (Brent 1973) through three held tilts
+        (the one nearest ``alpha`` in ``q'``, the nearest across ``alpha`` and
+        the next nearest), if it lies in the bracket, moved ``3 tol / q''``
+        toward the midpoint, so that it decides the midpoint and the later
+        midpoints beyond it.  The midpoint is solved only if its probe leaves
+        it undecided; a probe that raises is dropped.
         """
         cap = self.t_limit
         known: dict[float, float] = {}  # q'(t) - alpha at each tilt t solved or held
-        below, above, solved = -math.inf, math.inf, 0  # midpoints <= below, >= above are decided
+        below, above, undecided = -math.inf, math.inf, 0  # midpoints <= below, >= above are decided
 
         def solve(t: float) -> float:
             nonlocal below, above
@@ -549,32 +553,21 @@ class TiltFamily:
                 t = nxt
             return t, d
 
-        def guide(lo: float, hi: float) -> None:
-            a = max((s for s, d in known.items() if d < 0), default=lo)  # else q'(lo) == alpha
-            b = min((s for s, d in known.items() if d > 0), default=hi)  # else q'(hi) == alpha
-            fa, fb, last = known[a], known[b], 0.0
-            for _ in range(20):
-                c = a - fa * (b - a) / (fb - fa)
-                fc = solve(c)
-                if abs(fc) <= tol:
-                    break
-                keep = 0.5 if fc * last > 0 else 1.0  # Illinois: halve an end kept twice in a row
-                a, fa, b, fb = (c, fc, b, keep * fb) if fc < 0 else (a, keep * fa, c, fc)
-                last = fc
-            for _ in range(2):  # the second walk takes its slope from the first's solves
-                near = min((s for s in known if s != c and abs(known[s]) > tol),
-                           key=lambda s: abs(s - c))
-                slope, l, h, targets = (known[near] - fc) / (near - c), lo, hi, {}
-                for _ in range(200):
-                    mid = 0.5 * (l + h)
-                    off = slope * (mid - c)
-                    if abs(off) <= tol:
-                        break
-                    if abs(off) > 2.5 * tol:
-                        targets[off < 0] = mid
-                    l, h = (mid, h) if off < 0 else (l, mid)
-                for mid in [m for m in targets.values() if below < m < above]:
-                    solve(mid)
+        def decided(mid: float) -> float | None:
+            return known.get(mid, -math.inf if mid <= below else math.inf if mid >= above else None)
+
+        def probe(mid: float, lo: float, hi: float) -> None:
+            order = sorted(known.items(), key=lambda kv: abs(kv[1]))  # nearest alpha in q' first
+            near = order[:1] + [kv for kv in order[1:] if kv[1] * order[0][1] <= 0][:1]
+            near += [kv for kv in order[1:] if kv not in near][:1]  # a pair across alpha, and one more
+            root, dt = near[0][0], 0.0  # inverse quadratic interpolant t(d) and dt/dd at d = 0
+            for i in range(3):  # no pair across alpha, or two equal d, raise ZeroDivisionError
+                (ti, di), (_, dj), (_, dk) = near[i], near[i - 1], near[i - 2]
+                w = (ti - near[0][0]) / ((di - dj) * (di - dk))
+                root, dt = root + w * dj * dk, dt - w * (dj + dk)
+            t = root + math.copysign(3.0 * tol * dt, mid - root)
+            if dt > 0 and max(lo, below) <= root <= min(hi, above) and abs(t - root) < abs(mid - root):
+                solve(t)
 
         for t in [t for t in (0.0, -1.0, 1.0) if t in self._solved]:
             with suppress(NoConvergence):
@@ -587,14 +580,16 @@ class TiltFamily:
             return lo, True
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            d = (known[mid] if mid in known else -math.inf if mid <= below
-                 else math.inf if mid >= above else solve(mid))
+            d = decided(mid)
+            if d is None and (undecided := undecided + 1) >= 3:
+                with suppress(NoConvergence, ZeroDivisionError):
+                    probe(mid, lo, hi)
+                d = decided(mid)
+            if d is None:
+                d = solve(mid)
             if abs(d) <= tol:
                 return mid, False
             lo, hi = (mid, hi) if d < 0 else (lo, mid)
-            if math.isfinite(d) and (solved := solved + 1) == 3:
-                with suppress(NoConvergence):
-                    guide(lo, hi)
             if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
                 break
         return 0.5 * (lo + hi), False

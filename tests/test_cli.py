@@ -278,6 +278,19 @@ def test_rate_nan_alpha_gives_exit_one(capsys):
     assert json.loads(err.strip())["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["axioms", "--spec", "specs/fs2.json", "--samples", "-5"],
+    ["deviation-exact", "--spec", "specs/fs2.json", "--G", "zero", "--phi", "ind1",
+     "--past", "0", "--interval", "0.7:1", "--n-range", "20:10:5"],
+], ids=["negative-samples", "empty-n-range"])
+def test_inputs_with_nothing_to_run_give_exit_one(argv, capsys):
+    """A negative sample count and a length range with no lengths fail with a
+    typed record instead of printing a report of nothing."""
+    code, out, err = run_capture(argv, capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err.strip())["error"] == "ValueError"
+
+
 def test_auto_tilt_rejects_empty_interval_before_solving(monkeypatch, capsys):
     families = []
     of = thermo.TiltFamily.of

@@ -401,6 +401,17 @@ def test_rate_of_observable_cohomologous_to_a_constant_is_exactly_zero(gm):
     _same_rates(gm, G, obs, [c, c - 1e-10, c + 1e-10, c - 1.0, c + 1.0])
 
 
+def test_rate_at_a_computed_mean_one_ulp_off_a_one_point_range_is_zero(gm):
+    """A constant observable's computed q'(0) lands one ulp above its one-point
+    range [1.375, 1.375]; the rate there is t q'(t) - q(t) = 0, not inf."""
+    base, obs = Potential.zero(gm), Potential.constant(gm, 1.375)
+    alpha = q_derivative(gm, base, obs, 0.0)
+    assert alpha == 1.3750000000000002 and ergodic_range(gm, obs) == (1.375, 1.375)
+    assert rate_scalar(gm, base, obs, alpha) == 0.0
+    assert rate_curve(gm, base, obs, [alpha]).values == (0.0,)
+    assert rate_scalar(gm, base, obs, 1.375 + 1e-12) == math.inf
+
+
 def test_rate_scalar_falls_back_to_karp_when_q_prime_fails(fs2):
     """The spec of ``test_rate_bracket_stops_where_perron_vector_underflows``
     with phi scaled by 128, so q'(-1) and q'(1) underflow: outside the range
@@ -503,17 +514,29 @@ def _count_solves(monkeypatch):
 
 def test_rate_scalar_skips_decided_midpoints(fs2, monkeypatch):
     """At fs2, alpha = 23/24 the plain bisection solved 33 tilts; solving
-    only the midpoints that no solved tilt decides, after one guide pass,
-    takes at most 18."""
+    only the midpoints that no solved tilt decides, each after at most one
+    interpolated probe, takes at most 12."""
     calls = _count_solves(monkeypatch)
     value = rate_scalar(fs2, Potential.zero(fs2), Potential.indicator(fs2, 1), 23 / 24)
     assert value == pytest.approx(fs2_rate(23 / 24), rel=1e-9)
-    assert 0 < len(calls) <= 18
+    assert 0 < len(calls) <= 12
+
+
+def test_rate_sweep_solve_count(monkeypatch):
+    """The sweep whose Perron solves CI prints, golden-mean ``rate_curve``
+    over 61 alphas and fs2 ``rate_scalar`` at 23 alphas, takes at most 700
+    solves."""
+    fs2, gm = validate_spec([[1, 1], [1, 1]]), validate_spec([[1, 1], [1, 0]])
+    calls = _count_solves(monkeypatch)
+    rate_curve(gm, Potential.zero(gm), Potential.indicator(gm, 1), np.linspace(0.0, 0.5, 61))
+    for k in range(1, 24):
+        rate_scalar(fs2, Potential.zero(fs2), Potential.indicator(fs2, 1), k / 24)
+    assert 0 < len(calls) <= 700
 
 
 def test_solve_mean_guides_no_early_stop(gm, monkeypatch):
-    """``alpha = q'(0.5)`` stops at the second midpoint; the guide pass waits
-    for a third, so a 34-state chain (flat starts) solves the plain
+    """``alpha = q'(0.5)`` stops at the second midpoint; probes wait for a
+    third undecided one, so a 34-state chain (flat starts) solves the plain
     bisection's 4 tilts: -1, 1, 0 and 0.5."""
     chain = recode(gm, 7)
     pvec = phi_vector(chain, Potential.indicator(gm, 1))

@@ -21,7 +21,9 @@ from ldplab import (
     integrate,
     phi_vector,
     pressure,
+    q_derivative,
     random_markov_measure,
+    rate_scalar,
     recode,
     rpf_solve,
     transfer_matrix,
@@ -280,6 +282,41 @@ def test_rpf_raises_when_the_inverse_phase_stalls(gm, monkeypatch):
     monkeypatch.setattr(thermo, "_inverse_step", lambda matrix, x, shift, work: x)
     with pytest.raises(NoConvergence, match="stalled"):
         rpf_solve(_golden_tilt(gm, 40))
+
+
+def test_inverse_phase_certifies_both_vectors_of_a_bottleneck_chain():
+    """Complete blocks {0..5} and {6..9} joined by 0->6, 6->0 and 1->6, with
+    base -log deg(b) on each 2-word (a, b): every row of the 55-state matrix
+    sums to 1, so the flat right vector is exact and the intersected bracket
+    is narrow at once while the left vector is still far off.  Each vector's
+    own bracket must close: q'(0) is the uniform-successor walk's mean of
+    the indicator of {6..9}, and the rate at 0.40 its Legendre transform."""
+    A = np.zeros((10, 10), dtype=int)
+    A[:6, :6] = A[6:, 6:] = 1
+    A[0, 6] = A[6, 0] = A[1, 6] = 1
+    spec, deg = validate_spec(A), A.sum(axis=1)
+    base = Potential(2, {w: -math.log(deg[w[1]]) for w in admissible_words(spec, 2)})
+    obs = Potential(1, {(a,): float(a >= 6) for a in range(10)})
+    P, ind = A / deg[:, None], (np.arange(10) >= 6).astype(float)
+    vals, vecs = np.linalg.eig(P.T)
+    pi = np.abs(vecs[:, vals.real.argmax()].real)
+    assert q_derivative(spec, base, obs, 0.0) == pytest.approx(pi @ ind / pi.sum(), abs=1e-12)
+    ts = np.linspace(-0.05, 0.0, 5001)  # the maximiser, near -0.0136, is interior
+    q = [math.log(np.abs(np.linalg.eigvals(P * np.exp(t * ind)[:, None])).max()) for t in ts]
+    assert rate_scalar(spec, base, obs, 0.40) == pytest.approx(max(0.40 * ts - q), rel=1e-6)
+
+
+def test_inverse_phase_certifies_both_vectors_of_a_stochastic_family():
+    """fs2 at block 6 (64 states, flat starts) under the chain that keeps its
+    last symbol with probability 1 - eps, eps = 0.01 after a 0 and 0.03
+    after a 1: the row sums are 1, and the mean of the last symbol is
+    eps_0 / (eps_0 + eps_1) = 0.25."""
+    chain, eps = recode(validate_spec([[1, 1], [1, 1]]), 6), (0.01, 0.03)
+    last = chain.last_symbols()
+    leave = np.array(eps)[last][:, None]
+    P = chain.adjacency * np.where(last[None, :] == last[:, None], 1.0 - leave, leave)
+    fam = TiltFamily(chain, P, np.zeros(64), last.astype(float))
+    assert fam.q_prime(0.0) == pytest.approx(eps[0] / (eps[0] + eps[1]), abs=1e-12)
 
 
 def test_rpf_rejects_non_primitive_chain(fs2):
@@ -592,11 +629,11 @@ def _bisection_families():
 
 
 def test_solve_mean_is_the_plain_bisection_bit_for_bit():
-    """Skipping the midpoints that solved tilts decide, and the guide pass's
-    extra solves, return the plain bisection's ``(t, capped)`` with ``==``:
-    on an interior grid of 23 alphas, 1e-6 and 1e-4 from each end of the
-    ergodic range, and at ``alpha = q'(t)`` for seven tilts.  The two share
-    one family, so each tilt is solved once."""
+    """Skipping the midpoints that solved tilts decide, and the interpolated
+    probes solved to decide them, return the plain bisection's
+    ``(t, capped)`` with ``==``: on an interior grid of 23 alphas, 1e-6 and
+    1e-4 from each end of the ergodic range, and at ``alpha = q'(t)`` for
+    seven tilts.  The two share one family, so each tilt is solved once."""
     compared = 0
     for fam, tol in _bisection_families():
         amin, amax = _cycle_range(fam.chain, fam.pvec)
