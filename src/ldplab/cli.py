@@ -354,7 +354,7 @@ def _cmd_fit(args, out: _Output) -> None:
 
 
 def _read_series(path: str) -> list[DeviationPoint]:
-    """Read (n, mass) pairs back from a deviation-exact/mc output file."""
+    """Read (n, mass, log mass) rows back from a deviation-exact/mc output file."""
     points: list[DeviationPoint] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -378,7 +378,7 @@ def _read_series(path: str) -> list[DeviationPoint]:
             row = dict(zip(header, cells))
         if "n" in row and "mass" in row:
             m = float(row["mass"])
-            log_m = math.log(m) if m > 0 else -math.inf
+            log_m = float(row.get("log_mass", math.log(m) if m > 0 else -math.inf))
             points.append(DeviationPoint(int(row["n"]), m, log_m, str(row.get("method", ""))))
     if not points:
         raise ParseError(f"{path}: no (n, mass) rows found")

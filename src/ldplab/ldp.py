@@ -334,7 +334,9 @@ class Interval:
 
 @dataclass(frozen=True)
 class DeviationPoint:
-    """One (n, mass) sample of a deviation-set decay series."""
+    """One (n, mass) sample of a deviation-set decay series.  Below the
+    normal double range the DP's ``mass`` is 0.0 and its ``log_mass`` stays
+    finite; elsewhere ``log_mass`` is ``log(mass)``."""
 
     n: int
     mass: float
@@ -424,23 +426,62 @@ def _walk_sums(pvec: np.ndarray, lattice, interval: Interval, n: int):
     return np.asarray(lattice[2], dtype=np.int64), lambda sums: (sums >= zlo) & (sums <= zhi)
 
 
-def _lattice_masses(mu: LeafMeasure, z: Sequence[int], n: int, zlo: int, zhi: int) -> np.ndarray:
-    """Masses of the integer weight sums ``zlo .. zhi`` (``0 <= zlo``,
-    ``zhi <= n * max z``) accumulated over the n windows after the start.
+def _max_plus_reach(chain: RecodedChain, z: np.ndarray, n: int) -> np.ndarray:
+    """``F[r]``, r = 0 .. n: at least the largest sum of ``z`` (on the target
+    state) that r steps from any state add, by the max-plus recursion ``G_r =
+    max over successors of (z + G_{r-1})`` (Baccelli et al. 1992, ch. 3), exact
+    once ``G_r - G_{r-p}`` is constant; past r = 64 ``F(a + b) <= F(a) + F(b)``."""
+    succ, degree = chain.successor_table
+    succ = np.where(np.arange(succ.shape[1]) < degree[:, None], succ, succ[:, :1])
+    zs, G = z[succ], np.zeros((min(n, 64) + 1, chain.num_states), dtype=np.int64)
+    for r in range(1, len(G)):
+        G[r] = (zs + G[r - 1].take(succ)).max(axis=1)
+        d = G[r] - G[:r]
+        if (flat := np.flatnonzero(d.min(axis=1) == d.max(axis=1))).size:
+            break
+    F = G[:r + 1].max(axis=1)
+    p, c = (r - flat[-1], d[flat[-1], 0]) if flat.size else (r, F[r])
+    k = (np.arange(r + 1, n + 1) - r + p - 1) // p
+    return np.concatenate((F, F[np.arange(r + 1, n + 1) - k * p] + k * c))
 
-    Weights are >= 0, so a sum above ``zhi`` never comes back, and one below
-    ``zlo - r * max z`` with r windows left never reaches ``zlo``: only the
-    band between them is computed.  Column ``max z + Z`` holds sum ``Z``; the
-    ``max z`` columns below sum 0 stay zero, so each z-group's shift is one
-    copy out of the matmul buffer.
+
+#: A lattice DP result below _DP_SCALE_BELOW is recomputed with column exponents; they rise
+#: at most _DP_SLOPE over max z columns and are renormalized at most _DP_RENORM steps apart.
+_DP_SCALE_BELOW, _DP_RENORM, _DP_SLOPE = 2.0 ** -960, 16, 896
+_NORMAL = float(np.finfo(float).tiny)  # the smallest normal double
+
+
+def _lattice_masses(mu: LeafMeasure, z: Sequence[int], n: int, zlo: int, zhi: int,
+                    scaled: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Masses of the integer weight sums ``zlo .. zhi`` (``0 <= zlo``,
+    ``zhi <= n * max z``) accumulated over the n windows after the start, as
+    ``(m, e)``: sum ``zlo + i`` has mass ``m[i] * 2**-e[i]``.
+
+    Weights are >= 0.  With d windows done and L left, only the sums from
+    ``zlo - F[L]`` to ``min(F[d], zhi)`` are computed (F from
+    :func:`_max_plus_reach`): one below never reaches ``zlo``, one above has
+    mass exactly zero.  Column ``max z + Z`` holds sum ``Z``; the ``max z``
+    columns below sum 0 stay zero, so each z-group's shift is one copy.
+
+    ``e`` is zero unless the result is below ``_DP_SCALE_BELOW``, where cells
+    that matter may have left the normal range.  Then the DP reruns
+    ``scaled``: column c holds its masses times ``2**E[c]`` with E >= 0, a
+    shift multiplies by ``2**(E[c] - E[c - z])``, and renormalizing moves each
+    column's largest entry into [1/2, 1).  Powers of two commute with the
+    matmul, so a result in the normal range has the plain DP's bits.
     """
     chain = mu.chain
     K = chain.block
     z = np.asarray(z, dtype=np.int64)
     zmax = int(z.max())
-    if zlo > zhi:
-        return np.zeros(0)
-    v = np.zeros((chain.num_states, zmax + zhi + 1))
+    reach = _max_plus_reach(chain, z, n)
+    zhi = min(zhi, int(reach[n]))
+    los = np.maximum.accumulate(np.maximum(zmax + zlo - reach[n - 1::-1], zmax))
+    his = np.minimum(zmax + reach[1:], zmax + zhi)  # the band after windows d = 1 .. n
+    if (los > his).any():  # no cell reaches the interval
+        return np.zeros(0), np.zeros(0, dtype=np.intc)
+    los, his, width = los.tolist(), his.tolist(), zmax + zhi + 1
+    v = np.zeros((chain.num_states, width))
     out = np.zeros_like(v)
     v[mu.start_index, zmax] = 1.0
     PT = mu.transition.T.copy()
@@ -449,17 +490,38 @@ def _lattice_masses(mu: LeafMeasure, z: Sequence[int], n: int, zlo: int, zhi: in
         rows = np.flatnonzero(z == zi)
         contiguous = rows[-1] - rows[0] + 1 == len(rows)
         groups.append((zi, slice(rows[0], rows[-1] + 1) if contiguous else rows))
+    spread = len(groups) - int(np.log2(PT[PT > 0].min()))  # bits a step moves an entry, unshifted
+    E, scale, renorm = np.zeros(width, dtype=np.intc), None, 1  # scale: 2**(E[c] - E[c - z_g])
     lo = hi = zmax  # the live band of columns
-    for j in range(1, n + K):
+    for _ in range(K - 1):  # the steps before the first window add nothing
         np.matmul(PT, v[:, lo:hi + 1], out=out[:, lo:hi + 1])
-        if j < K:
-            v, out = out, v
+        v, out = out, v
+    for d, (lo_d, hi_d) in enumerate(zip(los, his), 1):
+        np.matmul(PT, v[:, lo:hi + 1], out=out[:, lo:hi + 1])
+        left, lo, hi = lo, lo_d, hi_d
+        for g, (zi, rows) in enumerate(groups):
+            src = out[rows, lo - zi:hi + 1 - zi]
+            v[rows, lo:hi + 1] = src if scale is None else src * scale[g, lo:hi + 1]
+        if scaled:  # stale columns below the band only feed cells that cannot reach zlo,
+            out[:, left:lo] = 0.0  # but they would sway the renormalization
+        if not scaled or d < renorm:
             continue
-        lo = max(lo, zmax + zlo - (n + K - 1 - j) * zmax)
-        hi = min(hi + zmax, zmax + zhi)
-        for zi, rows in groups:
-            v[rows, lo:hi + 1] = out[rows, lo - zi:hi + 1 - zi]
-    return v[:, lo:hi + 1].sum(axis=0)
+        # A column without mass takes the exponent of the nearest lower one with mass.
+        top = (band := v[:, lo:hi + 1]).max(axis=0)
+        near = np.maximum.accumulate(np.where(top > 0, np.arange(len(top)), (top > 0).argmax()))
+        rise = np.arange(len(top)) * (_DP_SLOPE / zmax)
+        new = (E[lo:hi + 1] - np.frexp(top)[1]).take(near) - rise
+        new = np.maximum(np.minimum.accumulate(new) + rise, 0).astype(np.intc)
+        band[...] = np.ldexp(band, new - E[lo:hi + 1])
+        E[:lo], E[lo:hi + 1], E[hi + 1:] = new[0], new, new[-1]
+        shift = E - E.take(np.maximum(np.arange(width) - np.array([[zi] for zi, _ in groups]), 0))
+        scale = np.ldexp(1.0, shift)  # exact, and finite: E rises at most _DP_SLOPE over max z
+        # The next renormalization comes before an entry can leave the double range.
+        renorm = d + max(1, min(_DP_RENORM, 900 // (2 * int(np.abs(shift).max()) + spread)))
+    m = v[:, lo:hi + 1].sum(axis=0)
+    if not scaled and m.sum() < _DP_SCALE_BELOW:
+        return _lattice_masses(mu, z, n, zlo, zhi, scaled=True)
+    return m, E[lo:hi + 1]
 
 
 def _dp_point(mu: LeafMeasure, pvec: np.ndarray, lattice, interval: Interval, n: int,
@@ -483,14 +545,20 @@ def _dp_point(mu: LeafMeasure, pvec: np.ndarray, lattice, interval: Interval, n:
         raise BudgetExceeded(f"lattice dynamic program needs {cells} cells, budget {budget:.3g}")
 
     zlo, zhi = _lattice_inside(interval, lattice, n, -slack)
-    masses = _lattice_masses(mu, z, n, zlo, zhi)
+    masses, exps = _lattice_masses(mu, z, n, zlo, zhi)
     ilo, ihi = _lattice_inside(interval, lattice, n, slack) if slack else (zlo, zhi)
-    # Added one by one in order, as np.sum's pairwise order would round differently.
-    low, high = (float(np.cumsum(m)[-1]) if m.size else 0.0
-                 for m in (masses[ilo - zlo:ihi - zlo + 1], masses))
+    # Added one by one in order, as np.sum's pairwise order would round differently;
+    # below the double range the log is taken of the masses over 2**k (largest in [1/2, 1)).
+    k = int((np.frexp(masses)[1] - exps)[masses > 0].max()) if masses.any() else 0
+    run = slice(ilo - zlo, ihi - zlo + 1)
+    true, over_k = np.ldexp(masses, -exps), np.ldexp(masses, -exps - k)
+    low, high, low_k, high_k = (float(np.cumsum(np.r_[0.0, x])[-1])
+                                for x in (true[run], true, over_k[run], over_k))
     mass = 0.5 * (low + high)
+    log_mass = (math.log(mass) if mass >= _NORMAL
+                else _log_or_neg_inf(0.5 * (low_k + high_k)) + k * math.log(2))
     return DeviationPoint(
-        n=n, mass=mass, log_mass=_log_or_neg_inf(mass),
+        n=n, mass=mass if mass >= _NORMAL else 0.0, log_mass=log_mass,
         method="dp-binned" if binned else "dp-lattice",
         mass_low=low, mass_high=high, bin_width=bin_width if binned else float(gap),
     )
@@ -669,7 +737,9 @@ def deviation_mass_mc(mu: LeafMeasure, obs: Potential, interval: Interval, n: in
 
 @dataclass(frozen=True)
 class RateFit:
-    """Least-squares fit of ``-(1/n) log m_n`` against ``a + b log(n)/n + c/n``.
+    """Least-squares fit of ``-(1/n) log m_n`` against ``a + b log(n)/n + c/n``,
+    over the points with a finite ``log_mass`` (which stays finite where the
+    mass falls below the double range).
 
     ``estimate`` is the asymptotic rate ``a``; the ``log(n)/n`` term absorbs
     the local-limit prefactor that a plain ``a + c/n`` model would push into
@@ -688,11 +758,11 @@ class RateFit:
 
 def rate_fit(series: DeviationSeries | Sequence[DeviationPoint]) -> RateFit:
     points = series.points if isinstance(series, DeviationSeries) else tuple(series)
-    usable = [(p.n, p.mass) for p in points if p.mass > 0 and math.isfinite(p.mass)]
+    usable = [(p.n, p.log_mass) for p in points if math.isfinite(p.log_mass)]
     if len(usable) < 4:
-        raise DegenerateFit(f"need at least 4 points with positive mass, got {len(usable)}")
+        raise DegenerateFit(f"need at least 4 points with a finite log mass, got {len(usable)}")
     ns = np.array([n for n, _ in usable], dtype=np.float64)
-    y = np.array([-math.log(m) / n for n, m in usable])
+    y = np.array([-lm / n for n, lm in usable])
     X = np.column_stack([np.ones_like(ns), np.log(ns) / ns, 1.0 / ns])
     coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     if rank < 3:

@@ -469,3 +469,15 @@ def test_fit_reads_csv_series(tmp_path, capsys):
     assert code == 0
     result = json.loads(out.splitlines()[1])
     assert 0.05 < result["estimate"] < 0.12
+
+
+def test_fit_reads_log_mass_where_the_mass_underflowed(tmp_path, capsys):
+    """Rows whose mass fell below the double range print mass 0 and a finite
+    log_mass; fit reads the log_mass, so they stay in the fit."""
+    series = tmp_path / "series.jsonl"
+    rows = [{"n": n, "log_mass": -0.25 * n, "mass": 0.0, "method": "dp-lattice"}
+            for n in range(3000, 8001, 1000)]
+    series.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+    code, out, _ = run_capture(["fit", "--series", str(series)], capsys)
+    assert code == 0
+    assert json.loads(out.splitlines()[1])["estimate"] == pytest.approx(0.25, abs=1e-12)

@@ -891,6 +891,96 @@ def test_lattice_dp_matches_full_width_dp_on_gibbs_leaf(memory3_leaf):
             assert deviation_mass_exact(mu, phi, iv, n, mode="dp").mass == pytest.approx(ref, rel=1e-13)
 
 
+def test_lattice_dp_equals_full_width_dp_where_the_max_plus_band_binds(gm, memory3_leaf):
+    """The band ends at F(r), the largest sum r windows can add, not at
+    r * max z.  The golden mean's largest cycle mean is 1/2 < max z = 1; on
+    the dyadic memory-3 leaf, symbol 1 never repeats, so the count of 1s in a
+    state's word over 3 has largest cycle mean 1/2 < 2/3.  Intervals that end
+    near it are where the bound cuts; the run is the full-width DP's, bit for bit."""
+    _, dyadic3, _ = memory3_leaf
+    ones3 = Potential(3, {w: w.count(1) / 3 for w in dyadic3.chain.states})
+    assert ergodic_range(dyadic3.chain.base, ones3) == (0.0, 0.5)
+    cases = [(leaf_measure(gm, Potential.zero(gm), (0,)), Potential.indicator(gm, 1), 0.5,
+              (1, 2, 7, 60, 301, 1000)),
+             (dyadic3, ones3, 0.5, (1, 2, 3, 7, 15))]
+    for mu, phi, amax, ns in cases:
+        z = _detect_lattice(phi_vector(mu.chain, phi))[2]
+        assert ldp._max_plus_reach(mu.chain, np.asarray(z), 60)[60] < 60 * max(z)
+        for iv in (Interval(amax - 0.05, amax), Interval(amax - 0.2, amax + 0.1),
+                   Interval(amax - 0.5, amax - 0.1), Interval(0.0, amax)):
+            for n in ns:
+                p = deviation_mass_exact(mu, phi, iv, n, mode="dp")
+                assert p.method == "dp-lattice"
+                assert p.mass == _reference_mass(mu, phi, iv, n), (iv, n)
+
+
+def test_lattice_dp_below_2_to_the_minus_960_keeps_the_plain_bits(fs2):
+    """A result below 2**-960 is recomputed with column exponents; one that is
+    still a normal double equals the plain full-width DP's bit for bit."""
+    mu = leaf_measure(fs2, bernoulli_potential(fs2, 0.7), (1,))
+    ind1, iv = Potential.indicator(fs2, 1), Interval(0.9, 1.0)
+    for n in (850, 870):
+        p = deviation_mass_exact(mu, ind1, iv, n, mode="dp")
+        assert 2.0 ** -1022 <= p.mass < 2.0 ** -960
+        assert p.mass == _reference_mass(mu, ind1, iv, n)
+        assert p.log_mass == math.log(p.mass)
+
+
+def _log_fs2_upper_tail(n, k0):
+    """log P(Bin(n, 1/2) >= k0) in log space: lgamma and log-sum-exp."""
+    logs = [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) - n * math.log(2)
+            for k in range(k0, n + 1)]
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
+
+
+@pytest.fixture(scope="module")
+def fs2_upper_tail(fs2):
+    """The lattice DP on fs2, ind1 on [0.9, 1], at n = 1,000 .. 10**4."""
+    mu = leaf_measure(fs2, Potential.zero(fs2), (0,))
+    ind1, iv = Potential.indicator(fs2, 1), Interval(0.9, 1.0)
+    return [deviation_mass_exact(mu, ind1, iv, n, mode="dp") for n in range(1000, 10_001, 1000)]
+
+
+def test_lattice_dp_log_mass_below_the_double_range(fs2_upper_tail):
+    """The untilted DP underflowed: -739.5497 at n = 2,000 where the exact
+    log mass is -739.5266, and -inf at n = 3,000.  Now the mass reads 0.0
+    below the double range and log_mass is within 1e-9 of the binomial's."""
+    for p in fs2_upper_tail:
+        if p.n in (2000, 3000, 10_000):
+            assert p.method == "dp-lattice" and p.mass == 0.0
+            assert p.log_mass == pytest.approx(_log_fs2_upper_tail(p.n, 9 * p.n // 10), rel=1e-9)
+
+
+def test_lattice_dp_log_mass_on_the_golden_mean_at_n_10000(gm):
+    """A chain whose masses are not dyadic, below the double range.  On the
+    Parry leaf a word's mass telescopes to phi**-n * r(last) / r(start) with
+    r = (phi, 1); after a 0, C(n-k, k) words of length n have k ones and end
+    in 0, and C(n-k, k-1) end in 1.  Averages 0.4 .. 0.5 are k = 4,000 .. 5,000."""
+    n, phi = 10_000, GOLDEN_RATIO
+    mu = leaf_measure(gm, Potential.zero(gm), (0,))
+    p = deviation_mass_exact(mu, Potential.indicator(gm, 1), Interval(0.4, 0.5), n, mode="dp")
+
+    def log_choose(a, b):
+        return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+    logs = [float(np.logaddexp(log_choose(n - k, k), log_choose(n - k, k - 1) - math.log(phi)))
+            for k in range(4000, 5001)]
+    top = max(logs)
+    want = top + math.log(math.fsum(math.exp(x - top) for x in logs)) - n * math.log(phi)
+    assert p.method == "dp-lattice" and p.mass == 0.0
+    assert p.log_mass == pytest.approx(want, rel=1e-9)
+
+
+def test_lattice_dp_structurally_empty_interval(fs2, gm):
+    """No word reaches these intervals: above the golden mean's largest cycle
+    mean 1/2, or between two lattice points."""
+    for spec, iv, n in ((gm, Interval(0.6, 1.0), 100), (gm, Interval(0.6, 1.0), 3000),
+                        (fs2, Interval(0.31, 0.32), 10)):
+        mu = leaf_measure(spec, Potential.zero(spec), (0,))
+        p = deviation_mass_exact(mu, Potential.indicator(spec, 1), iv, n, mode="dp")
+        assert (p.method, p.mass, p.log_mass) == ("dp-lattice", 0.0, -math.inf)
+
+
 def _binned_reference_bracket(mu, pvec, interval, n, bin_width=1e-3, divide=True):
     """The binned DP's bracket by the per-sum loop it replaced: the full-width
     DP on the bins (divided by their common factor unless ``divide`` is
@@ -1286,6 +1376,15 @@ def test_fit_binomial_series_approaches_rate(fs2):
     assert fit.estimate == pytest.approx(fs2_rate(0.7), abs=0.005)
     assert fit.b == pytest.approx(0.5, abs=0.2)  # local-limit prefactor
     assert fit.monotone
+
+
+def test_fit_reads_log_masses_below_the_double_range(fs2_upper_tail):
+    """From n = 2,000 on the masses are 0.0 in doubles; the fit reads
+    log_mass, so the series n = 1,000 .. 10**4 keeps every point and gives
+    the rate log 2 - H(0.9) = 0.368064."""
+    assert sum(p.mass == 0.0 for p in fs2_upper_tail) == 9
+    entropy = -(0.9 * math.log(0.9) + 0.1 * math.log(0.1))
+    assert rate_fit(fs2_upper_tail).estimate == pytest.approx(math.log(2) - entropy, abs=1e-3)
 
 
 def test_sandwich_band_for_tail_rates(fs2):
