@@ -26,8 +26,7 @@ from .ldp import (DeviationPoint, Interval, deviation_mass_exact, deviation_mass
                   growth_estimate, rate_curve, rate_fit, recommended_tilt)
 from .leaf import gibbs_ratio_audit, leaf_measure
 from .sft import Potential, SubshiftSpec, Word, axioms_check, validate_spec
-from .thermo import (TiltFamily, entropy, equilibrium_measure, gibbs_measure, pressure,
-                     recoded_transfer_matrix, rpf_solve)
+from .thermo import TiltFamily, entropy, equilibrium_measure, pressure
 
 
 # ---------------------------------------------------------------------------
@@ -211,28 +210,22 @@ def _interval(args) -> Interval:
 # Subcommands
 
 
-def _cmd_pressure(args, out: _Output) -> None:
-    spec, pots = load_spec(args.spec)
+def _cmd_pressure(args, out: _Output, spec, pots) -> None:
     pot = _get_potential(pots, args.potential)
     out.add({"pressure": pressure(spec, pot, block=args.block)})
 
 
-def _cmd_entropy(args, out: _Output) -> None:
-    spec, pots = load_spec(args.spec)
+def _cmd_entropy(args, out: _Output, spec, pots) -> None:
     mu = equilibrium_measure(spec, _get_potential(pots, args.potential), block=args.block)
     out.add({"entropy": entropy(mu)})
 
 
-def _cmd_gibbs(args, out: _Output) -> None:
-    spec, pots = load_spec(args.spec)
-    pot = _get_potential(pots, args.potential)
-    M = recoded_transfer_matrix(spec, pot, block=args.block)
-    rpf = rpf_solve(M)
-    mu = gibbs_measure(rpf, M)
+def _cmd_gibbs(args, out: _Output, spec, pots) -> None:
+    mu = equilibrium_measure(spec, _get_potential(pots, args.potential), block=args.block)
     if out.fmt == "json":
         out.add({
             "states": [format_word(spec, w) for w in mu.chain.states],
-            "pressure": math.log(rpf.eigenvalue),
+            "pressure": mu.pressure,
             "transition": [list(row) for row in mu.transition],
             "stationary": list(mu.stationary),
         })
@@ -247,15 +240,13 @@ def _cmd_gibbs(args, out: _Output) -> None:
                 })
 
 
-def _cmd_qcurve(args, out: _Output) -> None:
-    spec, pots = load_spec(args.spec)
+def _cmd_qcurve(args, out: _Output, spec, pots) -> None:
     fam = TiltFamily.of(spec, _get_potential(pots, args.G), _get_potential(pots, args.phi))
     for t in _parse_grid(args.t):
         out.add({"t": t, "q": fam.q(t), "q_prime": fam.q_prime(t)})
 
 
-def _cmd_rate(args, out: _Output) -> None:
-    spec, pots = load_spec(args.spec)
+def _cmd_rate(args, out: _Output, spec, pots) -> None:
     curve = rate_curve(spec, _get_potential(pots, args.G), _get_potential(pots, args.phi),
                        [args.alpha])
     row: dict[str, Any] = {"alpha": curve.alphas[0], "rate": curve.values[0],
@@ -265,16 +256,14 @@ def _cmd_rate(args, out: _Output) -> None:
     out.add(row)
 
 
-def _cmd_ratecurve(args, out: _Output) -> None:
-    spec, pots = load_spec(args.spec)
+def _cmd_ratecurve(args, out: _Output, spec, pots) -> None:
     curve = rate_curve(spec, _get_potential(pots, args.G), _get_potential(pots, args.phi),
                        _parse_grid(args.alphas))
     for a, v, t, b in zip(curve.alphas, curve.values, curve.tilts, curve.boundary):
         out.add({"alpha": a, "rate": v, "tilt": t, "boundary": b})
 
 
-def _cmd_leaf_audit(args, out: _Output) -> None:
-    spec, pots = load_spec(args.spec)
+def _cmd_leaf_audit(args, out: _Output, spec, pots) -> None:
     mu = leaf_measure(spec, _get_potential(pots, args.G), parse_word(spec, args.past),
                       block=args.block)
     kwargs = {} if args.budget is None else {"budget": args.budget}
@@ -294,8 +283,7 @@ def _cmd_leaf_audit(args, out: _Output) -> None:
     })
 
 
-def _cmd_growth(args, out: _Output) -> None:
-    spec, pots = load_spec(args.spec)
+def _cmd_growth(args, out: _Output, spec, pots) -> None:
     _, phi, mu = _leaf_for(args, spec, pots, block=args.block or 1)
     for n in _lengths(args):
         out.add({"n": n, "estimate": growth_estimate(mu, phi, n)})
@@ -321,8 +309,7 @@ def _dev_row(p: DeviationPoint) -> dict[str, Any]:
     return row
 
 
-def _cmd_deviation_exact(args, out: _Output) -> None:
-    spec, pots = load_spec(args.spec)
+def _cmd_deviation_exact(args, out: _Output, spec, pots) -> None:
     G, phi, mu = _leaf_for(args, spec, pots)
     iv = _interval(args)
     for n in _lengths(args):
@@ -331,8 +318,7 @@ def _cmd_deviation_exact(args, out: _Output) -> None:
         out.add(_dev_row(p))
 
 
-def _cmd_deviation_mc(args, out: _Output) -> None:
-    spec, pots = load_spec(args.spec)
+def _cmd_deviation_mc(args, out: _Output, spec, pots) -> None:
     G, phi, mu = _leaf_for(args, spec, pots)
     iv = _interval(args)
     if args.tilt == "auto":
@@ -346,7 +332,7 @@ def _cmd_deviation_mc(args, out: _Output) -> None:
         out.add(_dev_row(p))
 
 
-def _cmd_fit(args, out: _Output) -> None:
+def _cmd_fit(args, out: _Output, spec, pots) -> None:
     points = _read_series(args.series)
     fit = rate_fit(points)
     out.add({"estimate": fit.estimate, "b": fit.b, "c": fit.c,
@@ -385,8 +371,7 @@ def _read_series(path: str) -> list[DeviationPoint]:
     return points
 
 
-def _cmd_axioms(args, out: _Output) -> None:
-    spec, _ = load_spec(args.spec)
+def _cmd_axioms(args, out: _Output, spec, pots) -> None:
     rep = axioms_check(spec, sample_count=args.samples, seed=args.seed)
     row: dict[str, Any] = {
         "samples": rep.sample_count,
@@ -424,44 +409,33 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=float, default=None,
                        help="enumeration budget override (also: LDPLAB_BUDGET)")
 
-    p = sub.add_parser("pressure", help="log Perron eigenvalue of the weighted transfer matrix")
-    common(p)
-    p.add_argument("--potential", required=True)
-    p.add_argument("--block", type=int, default=None)
-    p.set_defaults(func=_cmd_pressure)
+    def potential(name: str, help_text: str, func) -> None:
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        p.add_argument("--potential", required=True)
+        p.add_argument("--block", type=int, default=None)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("gibbs", help="equilibrium Markov measure of a potential")
-    common(p)
-    p.add_argument("--potential", required=True)
-    p.add_argument("--block", type=int, default=None)
-    p.set_defaults(func=_cmd_gibbs)
+    potential("pressure", "log Perron eigenvalue of the weighted transfer matrix", _cmd_pressure)
+    potential("gibbs", "equilibrium Markov measure of a potential", _cmd_gibbs)
+    potential("entropy", "entropy rate of the equilibrium measure", _cmd_entropy)
 
-    p = sub.add_parser("entropy", help="entropy rate of the equilibrium measure")
-    common(p)
-    p.add_argument("--potential", required=True)
-    p.add_argument("--block", type=int, default=None)
-    p.set_defaults(func=_cmd_entropy)
+    def observable(name: str, help_text: str, func) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        p.add_argument("--G", required=True)
+        p.add_argument("--phi", required=True)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("qcurve", help="scaled cumulant q(t) and its derivative on a grid")
-    common(p)
-    p.add_argument("--G", required=True)
-    p.add_argument("--phi", required=True)
+    p = observable("qcurve", "scaled cumulant q(t) and its derivative on a grid", _cmd_qcurve)
     p.add_argument("--t", required=True, help="grid lo:hi:count")
-    p.set_defaults(func=_cmd_qcurve)
 
-    p = sub.add_parser("rate", help="scalar rate function at one target average")
-    common(p)
-    p.add_argument("--G", required=True)
-    p.add_argument("--phi", required=True)
+    p = observable("rate", "scalar rate function at one target average", _cmd_rate)
     p.add_argument("--alpha", type=float, required=True)
-    p.set_defaults(func=_cmd_rate)
 
-    p = sub.add_parser("ratecurve", help="scalar rate function on a grid")
-    common(p)
-    p.add_argument("--G", required=True)
-    p.add_argument("--phi", required=True)
+    p = observable("ratecurve", "scalar rate function on a grid", _cmd_ratecurve)
     p.add_argument("--alphas", required=True, help="grid lo:hi:count")
-    p.set_defaults(func=_cmd_ratecurve)
 
     p = sub.add_parser("leaf-audit", help="audit the leaf measure's dynamic-ball pinching")
     common(p)
@@ -473,28 +447,20 @@ def _build_parser() -> argparse.ArgumentParser:
     budget(p)
     p.set_defaults(func=_cmd_leaf_audit)
 
-    p = sub.add_parser("growth", help="finite-n growth of the tilted leaf integral")
-    common(p)
-    p.add_argument("--G", required=True)
-    p.add_argument("--phi", required=True)
+    p = observable("growth", "finite-n growth of the tilted leaf integral", _cmd_growth)
     p.add_argument("--past", required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--n-range", default=None, help="start:stop[:step]")
     p.add_argument("--block", type=int, default=None)
-    p.set_defaults(func=_cmd_growth)
 
     def deviation(name: str, help_text: str, func) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        common(p)
-        p.add_argument("--G", required=True)
-        p.add_argument("--phi", required=True)
+        p = observable(name, help_text, func)
         p.add_argument("--past", required=True)
         p.add_argument("--interval", required=True, help="lo:hi (closed by default)")
         p.add_argument("--open-lo", action="store_true")
         p.add_argument("--open-hi", action="store_true")
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--n-range", default=None)
-        p.set_defaults(func=func)
         return p
 
     p = deviation("deviation-exact", "exact deviation-set masses", _cmd_deviation_exact)
@@ -544,18 +510,20 @@ def run(argv: Sequence[str] | None = None) -> int:
     if "budget" in args and args.budget is None and env_budget:
         args.budget = float(env_budget)
 
+    path = getattr(args, "spec", None)
     header = {
         "command": args.command,
         "argv": argv,
-        "spec": getattr(args, "spec", None),
-        "spec_sha256": _spec_hash(getattr(args, "spec", None)),
+        "spec": path,
+        "spec_sha256": _spec_hash(path),
         "seed": getattr(args, "seed", None),
         "budget": getattr(args, "budget", None),
         "version": __version__,
     }
     out = _Output(args.format, header)
     try:
-        args.func(args, out)
+        spec, pots = (None, {}) if path is None else load_spec(path)
+        args.func(args, out, spec, pots)
     except LdplabError as e:
         record = to_json({"error": type(e).__name__, "message": str(e)})
         print(record, file=sys.stderr)

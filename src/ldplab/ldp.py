@@ -67,9 +67,8 @@ def _cycle_range(chain: RecodedChain, w: np.ndarray) -> tuple[float, float]:
     so the means are then equal) whose bias is larger by more than the slack.
     The stop test certifies that no cycle mean exceeds ``eta + slack``; each
     end is the mean of the final policy's cycle, correctly rounded."""
-    succ, degree = chain.successor_table
+    succ, _ = chain.successor_table
     n = chain.num_states
-    succ = np.where(np.arange(succ.shape[1]) < degree[:, None], succ, succ[:, :1])
     S = np.concatenate((succ, succ + n))
     wts, idx = np.concatenate((w, -w)), np.arange(2 * n)
     flat, scale = idx * S.shape[1], float(np.abs(w).max())
@@ -282,13 +281,10 @@ def growth_estimate(mu: LeafMeasure, obs: Potential, n: int) -> float:
     weights = np.exp(phi_vector(chain, obs))
     v = np.zeros(chain.num_states)
     v[mu.start_index] = 1.0
-    if K == 1:
-        v = v * weights
-    total = float(v.sum())
-    log_acc = math.log(total)
-    v = v / total
-    for j in range(1, n + K - 1):
-        v = v @ mu.transition
+    log_acc = 0.0
+    for j in range(n + K - 1):
+        if j > 0:
+            v = v @ mu.transition
         if j >= K - 1:
             v = v * weights
         s = float(v.sum())
@@ -431,8 +427,7 @@ def _max_plus_reach(chain: RecodedChain, z: np.ndarray, n: int) -> np.ndarray:
     state) that r steps from any state add, by the max-plus recursion ``G_r =
     max over successors of (z + G_{r-1})`` (Baccelli et al. 1992, ch. 3), exact
     once ``G_r - G_{r-p}`` is constant; past r = 64 ``F(a + b) <= F(a) + F(b)``."""
-    succ, degree = chain.successor_table
-    succ = np.where(np.arange(succ.shape[1]) < degree[:, None], succ, succ[:, :1])
+    succ, _ = chain.successor_table
     zs, G = z[succ], np.zeros((min(n, 64) + 1, chain.num_states), dtype=np.int64)
     for r in range(1, len(G)):
         G[r] = (zs + G[r - 1].take(succ)).max(axis=1)

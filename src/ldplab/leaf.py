@@ -25,7 +25,7 @@ from .errors import (
     WordTooShort,
 )
 from .sft import Potential, SubshiftSpec, Word, is_admissible
-from .thermo import RecodedChain, gibbs_measure, phi_vector, recode, rpf_solve, transfer_matrix
+from .thermo import RecodedChain, equilibrium_measure, phi_vector
 
 #: Rows per counter block of the path sampler; sample index i always maps to
 #: block i // CHUNK_ROWS, row i % CHUNK_ROWS, independent of consumption order.
@@ -74,19 +74,16 @@ def leaf_measure(spec: SubshiftSpec, pot: Potential, past: Sequence[int],
         raise InadmissiblePast(f"past of length {len(past)} is shorter than block {k}")
     if not is_admissible(spec, past):
         raise InadmissiblePast(f"past {past} is not admissible")
-    M = transfer_matrix(recode(spec, k), pot)
-    rpf = rpf_solve(M)
-    mu = gibbs_measure(rpf, M)
+    mu = equilibrium_measure(spec, pot, k)
     start = past[-k:]
-    with np.errstate(divide="ignore"):
-        logP = np.where(mu.transition > 0, np.log(np.where(mu.transition > 0, mu.transition, 1.0)), -np.inf)
+    logP = np.where(mu.transition > 0, np.log(np.where(mu.transition > 0, mu.transition, 1.0)), -np.inf)
     return LeafMeasure(
         chain=mu.chain,
         start_state=start,
         start_index=mu.chain.index[start],
         transition=mu.transition,
         log_transition=logP,
-        pressure=math.log(rpf.eigenvalue),
+        pressure=mu.pressure,
         potential=pot,
     )
 
@@ -162,7 +159,8 @@ def leaf_word_counts(chain: RecodedChain, start_index: int, depth: int) -> list[
     counts = [1.0]
     for _ in range(depth):
         u = u @ A
-        counts.append(float(u.sum()))
+        with np.errstate(over="ignore"):  # an overflowing count ends the list below
+            counts.append(float(u.sum()))
         if not math.isfinite(counts[-1]):
             break
     return counts

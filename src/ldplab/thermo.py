@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 import numpy as np
 
-from .errors import MemoryTooLarge, NoConvergence, NotPrimitive, ValidationError
+from .errors import BudgetExceeded, MemoryTooLarge, NoConvergence, NotPrimitive, ValidationError
 from .sft import MAX_POTENTIAL_VALUE, Potential, SubshiftSpec, Word, primitivity_exponent
 
 
@@ -49,14 +49,16 @@ class RecodedChain:
     @cached_property
     def successor_table(self) -> tuple[np.ndarray, np.ndarray]:
         """``(succ, degree)``: ``succ[s, :degree[s]]`` are the successors of
-        state ``s`` in increasing order, padded with 0 to the largest degree.
+        state ``s`` in increasing order, padded with its first successor to
+        the largest degree, so every slot is an edge of the chain.
 
         Read off ``step``, whose rows already ascend: states are ordered
         lexicographically and the targets of a row share their prefix.
         """
         degree = (self.step >= 0).sum(axis=1)
         order = np.argsort(self.step < 0, axis=1, kind="stable")[:, : int(degree.max())]
-        return np.maximum(np.take_along_axis(self.step, order, axis=1), 0), degree
+        succ = np.take_along_axis(self.step, order, axis=1)
+        return np.where(succ >= 0, succ, succ[:, :1]), degree
 
     def primitivity_power(self) -> int:
         """Smallest q with (adjacency ** q) entrywise positive.
@@ -72,11 +74,19 @@ class RecodedChain:
         return self._primitivity
 
 
+#: Most states :func:`recode` builds: its dense operators take ``MAX_STATES ** 2``
+#: entries, 512 MiB per float64 copy.  It is not a budget, so ``--budget`` and
+#: ``LDPLAB_BUDGET`` do not raise it.
+MAX_STATES = 8192
+
+
 def recode(spec: SubshiftSpec, block: int) -> RecodedChain:
     """Build the ``block``-word chain presentation of the subshift.
 
     States are built as base-``m`` integer codes in ascending, that is
-    lexicographic, order; ``m ** block`` past int64 raises :class:`ValidationError`.
+    lexicographic, order; ``m ** block`` past int64 raises :class:`ValidationError`,
+    and a level of more than ``MAX_STATES`` words raises :class:`BudgetExceeded`
+    before it is built.
 
     The chain is primitive with exponent ``p + block - 1``, where ``p`` is
     the spec's primitivity power: a path of ``q >= block`` steps between two
@@ -92,6 +102,8 @@ def recode(spec: SubshiftSpec, block: int) -> RecodedChain:
     codes = np.arange(m, dtype=np.int64)
     src, sym = np.nonzero(spec.transitions[codes])
     for _ in range(block - 1):
+        if len(src) > MAX_STATES:  # the next level's words, and no level has fewer than the last
+            raise BudgetExceeded(f"recoding at block {block} needs more than {MAX_STATES} states")
         codes = codes[src] * m + sym
         src, sym = np.nonzero(spec.transitions[codes % m])
     # Edge (src, sym) drops the first symbol of state src and appends sym.
@@ -280,11 +292,9 @@ def rpf_solve(M: WeightedMatrix, tol: float = 1e-13,
     in Noda's iteration: each step shifts to just above the Collatz-Wielandt
     upper bound of the current vectors, so ``(shift * I - M)`` has a
     positive inverse, and the shift falls towards ``lam`` with the bracket.
-    The inverse phase also stops once each vector's own bracket is narrower
-    than ``tol`` (relative); their intersection alone is narrow as soon as
-    one vector is exact.  A window that keeps the power phase runs ``_SKIP``
-    of the steps it predicts as bare steps, two products and a normalisation
-    with no check, then checks again from a fresh window, which may skip again.
+    A window that keeps the power phase runs ``_SKIP`` of the steps it
+    predicts as bare steps, two products and a normalisation with no check,
+    then checks again from a fresh window, which may skip again.
     The solve raises :class:`NoConvergence` if ``v @ h`` vanishes, if a
     vector loses positivity or finiteness, or if ``_STALL`` inverse steps
     narrow neither residual nor bracket.  ``max_iter`` caps all steps
@@ -349,9 +359,6 @@ def rpf_solve(M: WeightedMatrix, tol: float = 1e-13,
             work = np.empty_like(matrix)
         lo, hi = bracket or _collatz_wielandt(x, mx)
         width = float(np.ptp(mx / x, axis=1).max()) / lo  # the wider vector's own bracket
-        if width <= tol:
-            bracket = lo, hi
-            break
         # From a poor vector the shift starts far above lam; the bracket
         # then narrows step by step while the residual stays near 1.
         if res < best_res or width < best_width:
@@ -387,12 +394,15 @@ class MarkovMeasure:
     """A shift-invariant Markov measure presented on a recoded chain.
 
     ``transition`` is a stochastic matrix supported on the chain adjacency;
-    ``stationary`` is its stationary probability vector.
+    ``stationary`` is its stationary probability vector.  ``pressure`` is
+    the log Perron eigenvalue of the matrix a Gibbs measure was built from,
+    ``None`` for other measures.
     """
 
     chain: RecodedChain
     transition: np.ndarray
     stationary: np.ndarray
+    pressure: float | None = None
 
 
 #: Power steps ``pi <- pi @ P`` that polish a stationary vector at most.
@@ -424,7 +434,7 @@ def gibbs_measure(rpf: RPFData, M: WeightedMatrix) -> MarkovMeasure:
         pi = _polish_stationary(rpf.left * rpf.right, P)
     if not (np.isfinite(P).all() and np.isfinite(pi).all()):
         raise NoConvergence("Perron vector entries leave the double range, so the chain is undefined")
-    return MarkovMeasure(M.chain, P, pi)
+    return MarkovMeasure(M.chain, P, pi, math.log(rpf.eigenvalue))
 
 
 def equilibrium_measure(spec: SubshiftSpec, phi: Potential, block: int | None = None) -> MarkovMeasure:
@@ -598,8 +608,7 @@ class TiltFamily:
 def entropy(mu: MarkovMeasure) -> float:
     """Entropy rate ``-sum_w pi_w sum_w' P log P`` with ``0 log 0 = 0``."""
     P = mu.transition
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(P > 0, P * np.log(np.where(P > 0, P, 1.0)), 0.0)
+    plogp = np.where(P > 0, P * np.log(np.where(P > 0, P, 1.0)), 0.0)
     return float(-(mu.stationary @ plogp.sum(axis=1)))
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from ldplab import (IncompleteTable, Interval, NotPrimitive, ParseError, Validat
                     leaf_measure, thermo)
 from ldplab.cli import _build_parser, load_spec, run, to_json
 
-from conftest import golden_rate
+from conftest import GOLDEN_RATIO, golden_rate
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -164,6 +165,14 @@ def _golden_fields(body):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_golden_argv_is_the_regenerate_script_command(name):
+    """regenerate.sh writes each golden with ``--out`` appended to the argv
+    listed here, so the two tables cannot drift apart unseen."""
+    header = json.loads((GOLDEN / name).read_text().partition("\n")[0].lstrip("# "))
+    assert header["argv"] == GOLDEN_COMMANDS[name] + ["--out", "tests/golden/" + name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
 def test_golden_within_tolerance(name, capsys):
     """Every numeric field of a golden agrees with a fresh run to 1e-12
     relative (1e-15 absolute, for rounding-level values such as the audit
@@ -225,6 +234,30 @@ def test_rate_near_ergodic_end(capsys):
     assert code == 0, err
     result = json.loads(out.splitlines()[1])
     assert result["rate"] == pytest.approx(golden_rate(0.499), rel=1e-9)
+
+
+def test_rate_at_an_ergodic_end_reports_boundary(capsys):
+    """Golden mean at alpha = 1/2, the largest ergodic average of ind1: the
+    rate is log(phi) and the row says it sits on the boundary.  CSV rows
+    carry the column at an interior alpha too."""
+    argv = ["rate", "--spec", "specs/golden.json", "--G", "zero", "--phi", "ind1"]
+    code, out, err = run_capture(argv + ["--alpha", "0.5"], capsys)
+    assert code == 0, err
+    result = json.loads(out.splitlines()[1])
+    assert result["boundary"] is True
+    assert result["rate"] == pytest.approx(math.log(GOLDEN_RATIO), abs=1e-12)
+    code, out, err = run_capture(argv + ["--alpha", "0.3", "--format", "csv"], capsys)
+    assert code == 0, err
+    assert out.splitlines()[1] == "alpha,rate,tilt,boundary"
+    assert out.splitlines()[2].endswith(",false")
+
+
+def test_n_range_steps_by_one_by_default(capsys):
+    code, out, err = run_capture(["growth", "--spec", "specs/fs2.json", "--G", "zero",
+                                  "--phi", "ind1", "--past", "1", "--n-range", "5:10",
+                                  "--format", "csv"], capsys)
+    assert code == 0, err
+    assert [line.split(",")[0] for line in out.splitlines()[2:]] == ["5", "6", "7", "8", "9", "10"]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -314,6 +347,45 @@ def test_overflowing_tilt_gives_exit_one(argv, capsys):
     code, out, err = run_capture(argv, capsys)
     assert code == 1 and out == ""
     assert json.loads(err.strip())["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["qcurve", "--spec", "specs/golden.json", "--G", "zero", "--phi", "ind1", "--t", "0:1"],
+     "ValueError"),
+    (["qcurve", "--spec", "specs/golden.json", "--G", "zero", "--phi", "ind1", "--t", "0:1:0"],
+     "ValueError"),
+    (["growth", "--spec", "specs/fs2.json", "--G", "zero", "--phi", "ind1", "--past", "1"],
+     "ValidationError"),
+], ids=["grid-without-count", "grid-of-zero-points", "growth-without-lengths"])
+def test_malformed_grids_and_missing_lengths_give_exit_one(argv, error, capsys):
+    code, out, err = run_capture(argv, capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err.strip())["error"] == error
+
+
+@pytest.mark.parametrize("argv", [
+    ["pressure", "--spec", "specs/fs2.json", "--potential", "zero", "--block", "14"],
+    ["pressure", "--spec", "specs/fs2.json", "--potential", "zero", "--block", "40"],
+    ["leaf-audit", "--spec", "specs/fs2.json", "--G", "zero", "--past", "0" * 14,
+     "--block", "14", "--budget", "1e300"],
+], ids=["block-14", "block-40", "budget-does-not-raise-the-cap"])
+def test_oversized_recoding_fails_typed(argv, capsys):
+    """fs2 at block 14 has 16,384 states, past the dense recoding cap; it
+    fails with a typed record before any dense matrix is allocated."""
+    code, out, err = run_capture(argv, capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err.strip())["error"] == "BudgetExceeded"
+
+
+def test_leaf_audit_past_the_double_range_prints_only_its_record(capsys):
+    """The leaf word count at n_max = 2000 overflows a double; the audit's
+    typed record is all that reaches stderr, even with warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_capture(["leaf-audit", "--spec", "specs/fs2.json", "--G", "zero",
+                                      "--past", "0", "--n-max", "2000"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err.strip())["error"] == "EnumerationTooLarge"
 
 
 def test_usage_error_gives_exit_two(capsys):

@@ -1,6 +1,7 @@
 """Module boundaries: no module of the package imports a private
 (underscore) name from a sibling module, every Perron solve goes through
-``rpf_solve``, and a ``TiltFamily`` solves only in ``rpf``."""
+``rpf_solve``, only ``thermo`` solves Perron problems and assembles Gibbs
+chains, and a ``TiltFamily`` solves only in ``rpf``."""
 
 import ast
 from pathlib import Path
@@ -52,3 +53,10 @@ def test_tilt_family_solves_only_in_rpf():
     (cls,) = [node for node in ast.walk(tree)
               if isinstance(node, ast.ClassDef) and node.name == "TiltFamily"]
     assert _callers(cls, "rpf_solve") == ["rpf"]
+
+
+def test_only_thermo_solves_perron_problems_and_assembles_gibbs_chains():
+    assert sorted(_package_callers("rpf_solve")) == [
+        "thermo.py:equilibrium_measure", "thermo.py:pressure", "thermo.py:rpf"]
+    assert {caller.split(":")[0] for caller in _package_callers("gibbs_measure")} == {"thermo.py"}
+

@@ -3,6 +3,7 @@ import itertools
 import math
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -1137,6 +1138,28 @@ def test_deviation_budget_exceeded(fs2):
                              mode="enumerate", budget=100)
 
 
+def test_word_count_past_the_double_range_fails_typed_under_the_error_filter(fs2):
+    """At n = 1100 the leaf word count overflows a double: enumeration
+    raises its typed error, not numpy's overflow warning."""
+    mu = leaf_measure(fs2, Potential.zero(fs2), (0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BudgetExceeded):
+            deviation_mass_exact(mu, Potential.indicator(fs2, 1), Interval(0.7, 1.0), 1100,
+                                 mode="enumerate")
+
+
+def test_auto_bins_past_an_overflowing_word_count_under_the_error_filter(fs2):
+    """An off-lattice table at n = 1100: auto mode counts the words, finds
+    the count past the double range and runs the binned DP."""
+    mu = leaf_measure(fs2, Potential.zero(fs2), (0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = deviation_mass_exact(mu, bernoulli_potential(fs2, 0.3), Interval(-0.7803, -0.3), 1100)
+    assert p.method == "dp-binned"
+    assert 0.0 < p.mass_low <= p.mass <= p.mass_high < 1.0
+
+
 def test_deviation_open_versus_closed_boundary(fs2):
     # At n = 10 the lattice point 0.7 itself carries positive mass.
     mu = leaf_measure(fs2, Potential.zero(fs2), (0,))
@@ -1365,6 +1388,23 @@ def test_fit_needs_four_positive_points():
         rate_fit(pts)
     with pytest.raises(DegenerateFit):
         rate_fit([DeviationPoint(10, 0.5, math.log(0.5), "dp-binned")] * 3)
+
+
+def test_fit_needs_three_distinct_lengths():
+    """Four points at two lengths leave the three-term design matrix rank 2."""
+    pts = [DeviationPoint(n, math.exp(-0.3 * n), -0.3 * n, "dp-lattice") for n in (10, 10, 20, 20)]
+    with pytest.raises(DegenerateFit, match="distinct lengths"):
+        rate_fit(pts)
+
+
+def test_fit_predict_evaluates_the_fitted_model():
+    a, b, c = 0.25, 0.5, -1.5
+    pts = [DeviationPoint(n, 0.0, -n * (a + b * math.log(n) / n + c / n), "dp-lattice")
+           for n in range(100, 1001, 100)]
+    fit = rate_fit(pts)
+    for n in (100, 550, 1000):
+        assert fit.predict(n) == fit.estimate + fit.b * math.log(n) / n + fit.c / n
+        assert fit.predict(n) == pytest.approx(a + b * math.log(n) / n + c / n, abs=1e-12)
 
 
 def test_fit_binomial_series_approaches_rate(fs2):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -251,6 +252,16 @@ def test_audit_budget(uniform_leaf):
     from ldplab import EnumerationTooLarge
     with pytest.raises(EnumerationTooLarge):
         gibbs_ratio_audit(uniform_leaf, n_max=10, r=0, budget=10)
+
+
+def test_audit_past_the_double_range_fails_typed_under_the_error_filter(uniform_leaf):
+    """At n_max = 2000 the leaf word count overflows a double; the audit
+    raises its typed error, not numpy's overflow warning."""
+    from ldplab import EnumerationTooLarge
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EnumerationTooLarge):
+            gibbs_ratio_audit(uniform_leaf, n_max=2000, r=1)
 
 
 # ---------------------------------------------------------------------------

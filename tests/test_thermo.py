@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ldplab import (
+    BudgetExceeded,
     LdplabError,
     MarkovMeasure,
     MemoryTooLarge,
@@ -941,3 +942,24 @@ def test_stationary_distribution_two_state():
     P = np.array([[0.9, 0.1], [0.4, 0.6]])
     pi = stationary_distribution(P)
     assert np.allclose(pi, [0.8, 0.2], atol=1e-12)
+
+
+def test_gibbs_measure_carries_its_pressure(gm, fs2):
+    """A Gibbs measure keeps the log Perron eigenvalue it was built from;
+    other Markov measures carry none."""
+    zero = Potential.zero(gm)
+    mu = equilibrium_measure(gm, zero)
+    assert mu.pressure == pressure(gm, zero)
+    assert mu.pressure == pytest.approx(math.log(GOLDEN_RATIO), abs=1e-14)
+    assert random_markov_measure(mu.chain, np.random.default_rng(0)).pressure is None
+    pair01 = Potential(2, {(a, b): float(a != b) for a in range(2) for b in range(2)})
+    assert equilibrium_measure(fs2, pair01, block=3).pressure == pressure(fs2, pair01, block=3)
+
+
+def test_recode_stops_typed_past_the_state_cap(fs2):
+    """fs2 at block 13 has exactly ``MAX_STATES`` states; one block more
+    raises before the next level of words is built."""
+    assert len(recode(fs2, 13).states) == thermo.MAX_STATES
+    with pytest.raises(BudgetExceeded, match="block 14 needs more than"):
+        recode(fs2, 14)
+
