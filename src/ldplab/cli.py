@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from functools import cache
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -128,39 +128,23 @@ def to_json(obj: Any) -> str:
 def _csv_cell(v: Any) -> str:
     if v is None:
         return ""
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, (float, np.floating)):
-        return _fmt_float(float(v)).strip('"')
-    return str(v)
+    if isinstance(v, str):
+        return v
+    return to_json(v).strip('"')
 
 
-class _Output:
-    """Collects the header and result rows, then renders JSON lines or CSV."""
-
-    def __init__(self, fmt: str, header: dict[str, Any]):
-        self.fmt = fmt
-        self.header = header
-        self.rows: list[dict[str, Any]] = []
-
-    def add(self, row: dict[str, Any]) -> None:
-        self.rows.append(row)
-
-    def render(self) -> str:
-        lines = []
-        if self.fmt == "json":
-            lines.append(to_json(self.header))
-            lines.extend(to_json(r) for r in self.rows)
-        else:
-            lines.append("# " + to_json(self.header))
-            if self.rows:
-                cols = list(self.rows[0].keys())
-                lines.append(",".join(cols))
-                for r in self.rows:
-                    lines.append(",".join(_csv_cell(r.get(c)) for c in cols))
-        return "\n".join(lines) + "\n"
+def _render(fmt: str, header: dict[str, Any], rows: list[dict[str, Any]]) -> str:
+    """The header and result rows as JSON lines or CSV."""
+    if fmt == "json":
+        lines = [to_json(header)]
+        lines.extend(to_json(r) for r in rows)
+    else:
+        lines = ["# " + to_json(header)]
+        if rows:
+            cols = list(rows[0].keys())
+            lines.append(",".join(cols))
+            lines.extend(",".join(_csv_cell(r.get(c)) for c in cols) for r in rows)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -210,65 +194,65 @@ def _interval(args) -> Interval:
 # Subcommands
 
 
-def _cmd_pressure(args, out: _Output, spec, pots) -> None:
+def _cmd_pressure(args, spec, pots) -> Iterator[dict[str, Any]]:
     pot = _get_potential(pots, args.potential)
-    out.add({"pressure": pressure(spec, pot, block=args.block)})
+    yield {"pressure": pressure(spec, pot, block=args.block)}
 
 
-def _cmd_entropy(args, out: _Output, spec, pots) -> None:
+def _cmd_entropy(args, spec, pots) -> Iterator[dict[str, Any]]:
     mu = equilibrium_measure(spec, _get_potential(pots, args.potential), block=args.block)
-    out.add({"entropy": entropy(mu)})
+    yield {"entropy": entropy(mu)}
 
 
-def _cmd_gibbs(args, out: _Output, spec, pots) -> None:
+def _cmd_gibbs(args, spec, pots) -> Iterator[dict[str, Any]]:
     mu = equilibrium_measure(spec, _get_potential(pots, args.potential), block=args.block)
-    if out.fmt == "json":
-        out.add({
+    if args.format == "json":
+        yield {
             "states": [format_word(spec, w) for w in mu.chain.states],
             "pressure": mu.pressure,
             "transition": [list(row) for row in mu.transition],
             "stationary": list(mu.stationary),
-        })
+        }
     else:
         for i, w in enumerate(mu.chain.states):
             for j in np.flatnonzero(mu.chain.adjacency[i]):
-                out.add({
+                yield {
                     "from_state": format_word(spec, w),
                     "to_state": format_word(spec, mu.chain.states[j]),
                     "probability": float(mu.transition[i, j]),
                     "stationary_from": float(mu.stationary[i]),
-                })
+                }
 
 
-def _cmd_qcurve(args, out: _Output, spec, pots) -> None:
+def _cmd_qcurve(args, spec, pots) -> Iterator[dict[str, Any]]:
     fam = TiltFamily.of(spec, _get_potential(pots, args.G), _get_potential(pots, args.phi))
     for t in _parse_grid(args.t):
-        out.add({"t": t, "q": fam.q(t), "q_prime": fam.q_prime(t)})
+        yield {"t": t, "q": fam.q(t), "q_prime": fam.q_prime(t)}
 
 
-def _cmd_rate(args, out: _Output, spec, pots) -> None:
+def _cmd_rate(args, spec, pots) -> Iterator[dict[str, Any]]:
     curve = rate_curve(spec, _get_potential(pots, args.G), _get_potential(pots, args.phi),
                        [args.alpha])
     row: dict[str, Any] = {"alpha": curve.alphas[0], "rate": curve.values[0],
                            "tilt": curve.tilts[0]}
-    if curve.boundary[0] or out.fmt == "csv":
+    if curve.boundary[0] or args.format == "csv":
         row["boundary"] = curve.boundary[0]
-    out.add(row)
+    yield row
 
 
-def _cmd_ratecurve(args, out: _Output, spec, pots) -> None:
+def _cmd_ratecurve(args, spec, pots) -> Iterator[dict[str, Any]]:
     curve = rate_curve(spec, _get_potential(pots, args.G), _get_potential(pots, args.phi),
                        _parse_grid(args.alphas))
     for a, v, t, b in zip(curve.alphas, curve.values, curve.tilts, curve.boundary):
-        out.add({"alpha": a, "rate": v, "tilt": t, "boundary": b})
+        yield {"alpha": a, "rate": v, "tilt": t, "boundary": b}
 
 
-def _cmd_leaf_audit(args, out: _Output, spec, pots) -> None:
+def _cmd_leaf_audit(args, spec, pots) -> Iterator[dict[str, Any]]:
     mu = leaf_measure(spec, _get_potential(pots, args.G), parse_word(spec, args.past),
                       block=args.block)
     kwargs = {} if args.budget is None else {"budget": args.budget}
     rep = gibbs_ratio_audit(mu, n_max=args.n_max, r=args.r, **kwargs)
-    out.add({
+    yield {
         "r": rep.epsilon_exponent,
         "n_max": rep.n_max,
         "k_min": rep.k_min,
@@ -280,13 +264,13 @@ def _cmd_leaf_audit(args, out: _Output, spec, pots) -> None:
         "k_min_witness_n": rep.k_min_witness_n,
         "k_max_witness": format_word(spec, rep.k_max_witness),
         "k_max_witness_n": rep.k_max_witness_n,
-    })
+    }
 
 
-def _cmd_growth(args, out: _Output, spec, pots) -> None:
+def _cmd_growth(args, spec, pots) -> Iterator[dict[str, Any]]:
     _, phi, mu = _leaf_for(args, spec, pots, block=args.block or 1)
     for n in _lengths(args):
-        out.add({"n": n, "estimate": growth_estimate(mu, phi, n)})
+        yield {"n": n, "estimate": growth_estimate(mu, phi, n)}
 
 
 def _leaf_for(args, spec, pots, block: int = 1):
@@ -309,16 +293,16 @@ def _dev_row(p: DeviationPoint) -> dict[str, Any]:
     return row
 
 
-def _cmd_deviation_exact(args, out: _Output, spec, pots) -> None:
+def _cmd_deviation_exact(args, spec, pots) -> Iterator[dict[str, Any]]:
     G, phi, mu = _leaf_for(args, spec, pots)
     iv = _interval(args)
     for n in _lengths(args):
         p = deviation_mass_exact(mu, phi, iv, n, budget=args.budget,
                                  mode=args.mode, bin_width=args.bin_width)
-        out.add(_dev_row(p))
+        yield _dev_row(p)
 
 
-def _cmd_deviation_mc(args, out: _Output, spec, pots) -> None:
+def _cmd_deviation_mc(args, spec, pots) -> Iterator[dict[str, Any]]:
     G, phi, mu = _leaf_for(args, spec, pots)
     iv = _interval(args)
     if args.tilt == "auto":
@@ -329,14 +313,14 @@ def _cmd_deviation_mc(args, out: _Output, spec, pots) -> None:
         tilt = float(args.tilt)
     for n in _lengths(args):
         p = deviation_mass_mc(mu, phi, iv, n, samples=args.samples, tilt=tilt, seed=args.seed)
-        out.add(_dev_row(p))
+        yield _dev_row(p)
 
 
-def _cmd_fit(args, out: _Output, spec, pots) -> None:
+def _cmd_fit(args, spec, pots) -> Iterator[dict[str, Any]]:
     points = _read_series(args.series)
     fit = rate_fit(points)
-    out.add({"estimate": fit.estimate, "b": fit.b, "c": fit.c,
-             "residual": fit.residual, "monotone": fit.monotone})
+    yield {"estimate": fit.estimate, "b": fit.b, "c": fit.c,
+           "residual": fit.residual, "monotone": fit.monotone}
 
 
 def _read_series(path: str) -> list[DeviationPoint]:
@@ -371,7 +355,7 @@ def _read_series(path: str) -> list[DeviationPoint]:
     return points
 
 
-def _cmd_axioms(args, out: _Output, spec, pots) -> None:
+def _cmd_axioms(args, spec, pots) -> Iterator[dict[str, Any]]:
     rep = axioms_check(spec, sample_count=args.samples, seed=args.seed)
     row: dict[str, Any] = {
         "samples": rep.sample_count,
@@ -379,12 +363,12 @@ def _cmd_axioms(args, out: _Output, spec, pots) -> None:
         "max_stable_ratio": rep.max_stable_ratio,
         "max_unstable_ratio": rep.max_unstable_ratio,
     }
-    if out.fmt == "json":
+    if args.format == "json":
         row["checks"] = dict(rep.checks)
     else:
         for key, count in rep.checks.items():
             row[f"checks_{key}"] = count
-    out.add(row)
+    yield row
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +504,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         "budget": getattr(args, "budget", None),
         "version": __version__,
     }
-    out = _Output(args.format, header)
     try:
         spec, pots = (None, {}) if path is None else load_spec(path)
-        args.func(args, out, spec, pots)
+        rows = list(args.func(args, spec, pots))
     except LdplabError as e:
         record = to_json({"error": type(e).__name__, "message": str(e)})
         print(record, file=sys.stderr)
@@ -533,7 +516,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(record, file=sys.stderr)
         return 1
 
-    text = out.render()
+    text = _render(args.format, header, rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -233,8 +233,7 @@ def contraction_check(spec: SubshiftSpec, base: Potential, obs: Potential, alpha
     amin, amax = _alpha_range(fam, alpha)
     if not amin < alpha < amax:
         raise ValueError(f"alpha {alpha} outside the open ergodic range ({amin}, {amax})")
-    t, _ = fam.solve_mean(alpha)
-    scalar = max(t * alpha - fam.q(t), 0.0)
+    scalar, t, _ = _rate_point(fam, (amin, amax), alpha)
     tilted = fam.measure(t)
     equality_gap = abs(_rate_measure_given(fam.base_log, base, tilted) - scalar)
 
@@ -683,22 +682,22 @@ def deviation_mass_mc(mu: LeafMeasure, obs: Potential, interval: Interval, n: in
     K = chain.block
     pvec = phi_vector(chain, obs)
     vals, member = _walk_sums(pvec, _detect_lattice(pvec), interval, n)
-    if tilt is None or tilt == 0.0:
-        P_sim = mu.transition
-        log_ratio = None
-    else:
+    P_sim = mu.transition
+    if tilt is not None and tilt != 0.0:
         fam = TiltFamily(chain, chain.adjacency.astype(np.float64),
                          phi_vector(chain, mu.potential), pvec)
         P_sim = fam.measure(tilt).transition
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_ratio = np.where(chain.adjacency > 0,
-                                 np.log(np.where(P_sim > 0, mu.transition / P_sim, 1.0)), 0.0)
 
     tables = walk_tables(chain, P_sim)
     W, dst, _ = tables
     vals = vals[dst]  # per edge slot from here on, as is log_ratio
-    if log_ratio is not None:
-        log_ratio = log_ratio[np.arange(len(dst)) // W, dst]
+    log_ratio = None
+    if P_sim is not mu.transition:
+        src = np.arange(len(dst)) // W
+        sim = P_sim[src, dst]
+        ratio = np.divide(mu.transition[src, dst], sim, out=np.ones_like(sim), where=sim > 0)
+        # An edge whose untilted probability underflowed to 0 gets weight 0.
+        log_ratio = np.log(ratio, out=np.full_like(ratio, -np.inf), where=ratio > 0)
 
     steps = n + K - 1
     total = 0.0

@@ -295,20 +295,18 @@ def walk_tables(chain: RecodedChain, transition: np.ndarray) -> tuple[int, np.nd
     """Edge-slot tables of the walk kernel: ``(W, dst, cum)``.
 
     ``W`` is the largest degree rounded up to a power of two.  Slot
-    ``s * W + i`` is state ``s``'s ``i``-th successor ``dst[slot]``, and
+    ``s * W + i`` is state ``s``'s ``i``-th successor ``dst[slot]`` (a
+    successor again from ``i = deg(s)`` on: every slot is an edge), and
     ``cum[slot]`` the cumulative probability of its first ``i + 1``
-    successors, ``+inf`` from ``i = deg(s) - 1`` on.  A row of ``cum`` is a
-    cumsum of non-negative floats padded with ``+inf``, so it never
-    decreases: a binary search counts the thresholds at or below a uniform
-    exactly as comparing the whole row would.
+    successors, ``+inf`` from ``i = deg(s) - 1`` on.  So a row of ``cum``
+    never decreases, and a binary search counts the thresholds at or below
+    a uniform exactly as comparing the whole row would.
     """
     succ, degree = chain.successor_table
     W = 1 << (int(degree.max()) - 1).bit_length()
-    dst = np.zeros((chain.num_states, W), dtype=np.intp)
-    dst[:, : succ.shape[1]] = succ
-    cum = np.full((chain.num_states, W), np.inf)
-    for s, d in enumerate(degree):
-        cum[s, : d - 1] = np.cumsum(transition[s, succ[s, :d]])[:-1]
+    dst = np.pad(succ, ((0, 0), (0, W - succ.shape[1])), mode="edge")
+    cum = np.cumsum(np.take_along_axis(transition, dst, axis=1), axis=1)
+    cum[np.arange(W) >= degree[:, None] - 1] = np.inf
     return W, dst.ravel(), cum.ravel()
 
 
@@ -348,21 +346,26 @@ def markov_walks(tables: tuple[int, np.ndarray, np.ndarray], start_index: int, s
         lo = hi
 
 
-def sample_paths(mu: LeafMeasure, n: int, count: int, seed: int = 0) -> np.ndarray:
-    """Sample ``count`` leaf words of length ``n`` as a (count, n) symbol array.
-
-    Column 0 is the fixed start symbol; row ``i`` is drawn from counter
-    block ``i // CHUNK_ROWS`` and is a pure function of (seed, i, n).
-    """
+def _leaf_rows(mu: LeafMeasure, n: int, count: int, seed: int, first: int) -> np.ndarray:
+    """Rows ``first .. first + count - 1`` of the leaf words of length ``n``."""
     if n < 1:
         raise ValueError("n must be >= 1")
     out = np.empty((count, n), dtype=np.int16)
     out[:, 0] = mu.start_symbol
     tables = walk_tables(mu.chain, mu.transition)
     sym = mu.chain.last_symbols()[tables[1]]
-    for rows, j, slot in markov_walks(tables, mu.start_index, n - 1, count, seed):
+    for rows, j, slot in markov_walks(tables, mu.start_index, n - 1, count, seed, first):
         out[rows, j] = sym.take(slot)
     return out
+
+
+def sample_paths(mu: LeafMeasure, n: int, count: int, seed: int = 0) -> np.ndarray:
+    """Sample ``count`` leaf words of length ``n`` as a (count, n) symbol array.
+
+    Column 0 is the fixed start symbol; row ``i`` is drawn from counter
+    block ``i // CHUNK_ROWS`` and is a pure function of (seed, i, n).
+    """
+    return _leaf_rows(mu, n, count, seed, 0)
 
 
 def sample_path(mu: LeafMeasure, n: int, seed: int = 0, index: int = 0) -> Word:
@@ -371,9 +374,4 @@ def sample_path(mu: LeafMeasure, n: int, seed: int = 0, index: int = 0) -> Word:
     Equals row ``index`` of any batch drawn with the same seed: the draw
     reads a fixed slice of the counter stream regardless of call order.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    tables = walk_tables(mu.chain, mu.transition)
-    sym = mu.chain.last_symbols()[tables[1]]
-    walk = markov_walks(tables, mu.start_index, n - 1, 1, seed, first=index)
-    return (mu.start_symbol,) + tuple(int(sym[slot[0]]) for _, _, slot in walk)
+    return tuple(int(a) for a in _leaf_rows(mu, n, 1, seed, index)[0])

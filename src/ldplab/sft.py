@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -134,9 +134,7 @@ def is_admissible(spec: SubshiftSpec, word: Sequence[int]) -> bool:
 
 def admissible_words(spec: SubshiftSpec, length: int) -> list[Word]:
     """All admissible words of the given length, in lexicographic order."""
-    if length < 1:
-        raise ValueError("word length must be >= 1")
-    return [w for a in range(spec.alphabet_size) for w in unstable_leaf_words(spec, a, length)]
+    return list(_lex_words(spec, range(spec.alphabet_size), length))
 
 
 def unstable_leaf_words(spec: SubshiftSpec, start_symbol: int, n: int) -> list[Word]:
@@ -150,10 +148,20 @@ def unstable_leaf_words(spec: SubshiftSpec, start_symbol: int, n: int) -> list[W
         raise ValueError(f"start symbol {start_symbol} out of range")
     if n < 1:
         raise ValueError("n must be >= 1")
-    words: list[Word] = [(start_symbol,)]
-    for _ in range(n - 1):
-        words = [w + (b,) for w in words for b in spec.succs[w[-1]]]
-    return words
+    return list(_lex_words(spec, (start_symbol,), n))
+
+
+def _lex_words(spec: SubshiftSpec, starts: Sequence[int], length: int) -> Iterator[Word]:
+    """Admissible ``length``-words from ``starts``, one at a time in lexicographic order."""
+    if length < 1:
+        raise ValueError("word length must be >= 1")
+    stack = [(a,) for a in reversed(starts)]
+    while stack:
+        w = stack.pop()
+        if len(w) == length:
+            yield w
+        else:
+            stack.extend(w + (b,) for b in reversed(spec.succs[w[-1]]))
 
 
 class PointRep:
@@ -304,8 +312,7 @@ class Potential:
             raise IncompleteTable(f"potential table has no entry for word {key}") from None
 
     def validate(self, spec: SubshiftSpec) -> None:
-        words = admissible_words(spec, self.memory)
-        for w in words:
+        for w in _lex_words(spec, range(spec.alphabet_size), self.memory):
             if w not in self.table:
                 raise IncompleteTable(f"missing admissible {self.memory}-word {w}")
         for w, v in self.table.items():

@@ -553,3 +553,63 @@ def test_fit_reads_log_mass_where_the_mass_underflowed(tmp_path, capsys):
     code, out, _ = run_capture(["fit", "--series", str(series)], capsys)
     assert code == 0
     assert json.loads(out.splitlines()[1])["estimate"] == pytest.approx(0.25, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Unreadable, malformed and empty input files
+
+
+FS2 = {"alphabet": ["0", "1"], "transitions": [[1, 1], [1, 1]]}
+
+
+@pytest.mark.parametrize("command, body, error, message", [
+    ("pressure", None, "ParseError", "cannot read"),
+    ("pressure", json.dumps({"alphabet": ["0", "1"]}), "ValidationError",
+     "missing or malformed field: 'transitions'"),
+    ("pressure", json.dumps({"alphabet": ["a", "a"], "transitions": [[1, 1], [1, 1]]}),
+     "ValidationError", "duplicate symbol names in alphabet"),
+    ("pressure", json.dumps({**FS2, "potentials": {"zero": {"table": {"0": 0.0, "1": 0.0}}}}),
+     "ValidationError", "potential 'zero': malformed entry: 'memory'"),
+    ("fit", None, "ParseError", "cannot read"),
+    ("fit", '{"n": 10, "mass": \n', "ParseError", "bad JSON line"),
+    ("fit", "", "ParseError", "no (n, mass) rows found"),
+], ids=["unreadable-spec", "spec-without-transitions", "duplicate-symbols",
+        "potential-without-memory", "unreadable-series", "bad-series-line", "empty-series"])
+def test_unreadable_malformed_and_empty_inputs_fail_typed(command, body, error, message,
+                                                          tmp_path, capsys):
+    path = tmp_path / "input"
+    if body is not None:
+        path.write_text(body, encoding="utf-8")
+    argv = (["pressure", "--spec", str(path), "--potential", "zero"] if command == "pressure"
+            else ["fit", "--series", str(path)])
+    code, out, err = run_capture(argv, capsys)
+    assert code == 1 and out == ""
+    record = json.loads(err.strip())
+    assert record["error"] == error and message in record["message"]
+
+
+def test_incomplete_high_memory_table_fails_typed_at_its_first_gap(tmp_path, capsys):
+    """fs2 has 2**40 admissible 40-words; a table holding one of them fails
+    with a record naming the next one, without listing the rest."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({**FS2, "potentials": {
+        "big": {"memory": 40, "table": {"0" * 40: 0.0}}}}), encoding="utf-8")
+    code, out, err = run_capture(["pressure", "--spec", str(path), "--potential", "big"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err.strip()) == {
+        "error": "IncompleteTable",
+        "message": "potential 'big': missing admissible 40-word (" + "0, " * 39 + "1)"}
+
+
+def test_error_after_some_rows_prints_only_its_record(tmp_path, capsys):
+    """n = 10 fits the enumeration budget and n = 20 does not: only the
+    record is printed, and neither stdout nor --out gets the first row."""
+    path = tmp_path / "rows.jsonl"
+    argv = ["deviation-exact", "--spec", "specs/fs2.json", "--G", "zero", "--phi", "ind1",
+            "--past", "0", "--interval", "0.7:1", "--n-range", "10:20:10",
+            "--mode", "enumerate", "--budget", "5000"]
+    for extra in ([], ["--out", str(path)]):
+        code, out, err = run_capture(argv + extra, capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err.strip())["error"] == "BudgetExceeded"
+    assert not path.exists()

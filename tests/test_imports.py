@@ -1,7 +1,8 @@
 """Module boundaries: no module of the package imports a private
 (underscore) name from a sibling module, every Perron solve goes through
 ``rpf_solve``, only ``thermo`` solves Perron problems and assembles Gibbs
-chains, and a ``TiltFamily`` solves only in ``rpf``."""
+chains, a ``TiltFamily`` solves only in ``rpf``, and one sampler body and
+the Monte Carlo estimator are the only walkers."""
 
 import ast
 from pathlib import Path
@@ -60,3 +61,8 @@ def test_only_thermo_solves_perron_problems_and_assembles_gibbs_chains():
         "thermo.py:equilibrium_measure", "thermo.py:pressure", "thermo.py:rpf"]
     assert {caller.split(":")[0] for caller in _package_callers("gibbs_measure")} == {"thermo.py"}
 
+
+def test_walk_kernels_are_called_only_by_the_sampler_body_and_the_mc():
+    for kernel in ("markov_walks", "walk_tables"):
+        assert sorted(_package_callers(kernel)) == [
+            "ldp.py:deviation_mass_mc", "leaf.py:_leaf_rows"], kernel

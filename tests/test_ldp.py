@@ -1462,3 +1462,44 @@ def test_interval_parse_and_membership():
     assert not Interval(0.3, 0.3).is_empty()
     assert Interval(math.nan, 1.0).is_empty() and Interval(0.7, math.nan).is_empty()
     assert Interval(math.nan, math.nan).is_empty()
+
+
+# ---------------------------------------------------------------------------
+# Typed raises
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda fs2, gm: rate_measure(fs2, Potential.zero(fs2),
+                                  equilibrium_measure(gm, Potential.zero(gm))),
+     IncompatibleSupport, "measure lives on a different subshift"),
+], ids=["measure-on-another-subshift"])
+def test_typed_raises(call, error, match, fs2, gm):
+    with pytest.raises(error, match=match):
+        call(fs2, gm)
+
+
+def test_contraction_check_takes_the_rate_curves_point_on_a_one_point_range(fs2):
+    """An ergodic range 1e-14 wide is one point to the rate: value 0 at tilt
+    0, as rate_curve reports, not a tilt a bisection of the flat q' ends at."""
+    base, obs = Potential.zero(fs2), Potential(1, {(0,): 0.1, (1,): 0.1 + 1e-14})
+    alpha = 0.1 + 5e-15
+    curve = rate_curve(fs2, base, obs, [alpha])
+    rep = contraction_check(fs2, base, obs, alpha, samples=3)
+    assert (rep.scalar_rate, rep.tilt) == (curve.values[0], curve.tilts[0]) == (0.0, 0.0)
+    assert rep.passed
+
+
+def test_mc_gives_an_underflowed_edge_weight_zero_without_a_warning():
+    """On the full 3-shift with G = (-700, 0, -100), the edges into symbol 2
+    from symbol 0 get probability 0 in the leaf chain (the product
+    exp(-700) * exp(-100) underflows), but not in the chain tilted by 100 on
+    symbol 2.  Walks through them get weight 0, with no warning, and
+    (mass, stderr) keep their bits."""
+    fs3 = validate_spec(np.ones((3, 3), dtype=int))
+    mu = leaf_measure(fs3, Potential(1, {(0,): -700.0, (1,): 0.0, (2,): -100.0}), (0,))
+    assert ((mu.transition == 0) & (mu.chain.adjacency > 0)).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = deviation_mass_mc(mu, Potential.indicator(fs3, 2), Interval(0.0, 1.0), 5, 200,
+                              tilt=100.0, seed=1)
+    assert (p.mass, p.stderr) == (1.6000000000000014, 0.4943906456970685)

@@ -10,6 +10,7 @@ from ldplab import (
     InadmissiblePast,
     InconsistentStart,
     Interval,
+    MemoryTooLarge,
     NoConvergence,
     Potential,
     TiltFamily,
@@ -448,3 +449,19 @@ def test_walk_kernel_matches_reference_sampler(mu, obs):
     for tilt in (None, 0.6):
         got = deviation_mass_mc(mu, obs, iv, n, count, tilt=tilt, seed=seed)
         assert (got.mass, got.stderr) == _reference_mc(mu, obs, iv, n, count, seed, tilt)
+
+
+# ---------------------------------------------------------------------------
+# Typed raises
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda fs2: leaf_measure(fs2, Potential(2, {(a, b): 0.0 for a in (0, 1) for b in (0, 1)}),
+                              (0, 0), block=1),
+     MemoryTooLarge, "block 1 below potential memory 2"),
+    (lambda fs2: cylinder_mass(leaf_measure(fs2, Potential.zero(fs2), (0,)), (0, 5)),
+     InconsistentStart, "symbol 5 out of range"),
+], ids=["block-below-memory", "cylinder-symbol-out-of-range"])
+def test_typed_raises(call, error, match, fs2):
+    with pytest.raises(error, match=match):
+        call(fs2)

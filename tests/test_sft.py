@@ -10,6 +10,7 @@ from ldplab import (
     BracketUndefined,
     EmptyRowOrColumn,
     InadmissibleConcatenation,
+    IncompleteTable,
     NotPrimitive,
     PointRep,
     Potential,
@@ -365,3 +366,46 @@ def test_axioms_report_is_deterministic(gm):
     b = axioms_check(gm, sample_count=100, seed=5)
     assert a.checks == b.checks
     assert a.max_stable_ratio == b.max_stable_ratio
+
+
+# ---------------------------------------------------------------------------
+# Typed raises
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda fs2, gm: validate_spec([[1, 1]]), ValidationError, "must be square and non-empty"),
+    (lambda fs2, gm: validate_spec([[1, 1], [1, 1]], symbols=["a"]), ValidationError,
+     "1 symbol names for a 2-symbol alphabet"),
+    (lambda fs2, gm: PointRep(fs2, (), (0,), (0,)), ValidationError,
+     "left and right cycles must be non-empty"),
+    (lambda fs2, gm: PointRep(fs2, (0,), (), (0,)), ValidationError, "core must be non-empty"),
+    (lambda fs2, gm: PointRep(fs2, (0,), (0,), (0,), core_start=1), ValidationError,
+     "core must contain coordinate 0"),
+    (lambda fs2, gm: PointRep(fs2, (0,), (0, 2), (0,)), ValidationError,
+     "symbol out of range at coordinate"),
+    (lambda fs2, gm: Potential(1, {(0,): 0.0}).value((1,)), IncompleteTable,
+     r"no entry for word \(1,\)"),
+    (lambda fs2, gm: Potential(2, {w: 0.0 for w in itertools.product((0, 1), repeat=2)}).validate(gm),
+     ValidationError, r"table key \(1, 1\) is not an admissible 2-word"),
+    (lambda fs2, gm: Potential(1, {(0,): math.nan, (1,): 0.0}).validate(fs2), ValidationError,
+     r"non-finite value for word \(0,\)"),
+], ids=["non-square-matrix", "symbol-count", "empty-cycle", "empty-core", "core-off-zero",
+        "symbol-out-of-range", "value-of-a-missing-word", "inadmissible-key", "non-finite-value"])
+def test_typed_raises(call, error, match, fs2, gm):
+    with pytest.raises(error, match=match):
+        call(fs2, gm)
+
+
+def test_validate_names_the_first_missing_word_before_any_bad_key(gm):
+    """The first admissible word missing in lexicographic order is named,
+    and a missing word is reported before an inadmissible key."""
+    table = {w: 0.0 for w in itertools.product((0, 1), repeat=3) if w != (1, 0, 1)}
+    del table[(0, 1, 0)]  # (1, 1, x) stay in: inadmissible keys on the golden mean
+    with pytest.raises(IncompleteTable, match=r"missing admissible 3-word \(0, 1, 0\)$"):
+        Potential(3, table).validate(gm)
+
+
+def test_validate_of_an_incomplete_high_memory_table_stops_at_the_first_gap(fs2):
+    """fs2 has 2**40 admissible 40-words; the check lists two of them."""
+    with pytest.raises(IncompleteTable, match=r"40-word \(" + "0, " * 39 + r"1\)$"):
+        Potential(40, {(0,) * 40: 0.0}).validate(fs2)

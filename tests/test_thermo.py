@@ -963,3 +963,30 @@ def test_recode_stops_typed_past_the_state_cap(fs2):
     with pytest.raises(BudgetExceeded, match="block 14 needs more than"):
         recode(fs2, 14)
 
+
+# ---------------------------------------------------------------------------
+# Typed raises
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda fs2: pressure(fs2, Potential(1, {(0,): 800.0, (1,): 0.0})), ValidationError,
+     "potential values exceed magnitude 700"),
+    (lambda fs2: pressure(fs2, Potential(2, {w: 0.0 for w in admissible_words(fs2, 2)}), block=1),
+     MemoryTooLarge, "block 1 below potential memory 2"),
+], ids=["unvalidated-huge-value", "block-below-memory"])
+def test_typed_raises(call, error, match, fs2):
+    with pytest.raises(error, match=match):
+        call(fs2)
+
+
+def test_solve_mean_stops_when_the_bracket_collapses(gm):
+    """A q' that jumps by 2e-9 across alpha at t* = 0.3 never comes within
+    tol of alpha: the bisection ends on the bracket's width.  Every solved d
+    is +-1e-9, so each probe divides by a zero difference and is dropped."""
+    fam = TiltFamily.of(gm, Potential.zero(gm), Potential.indicator(gm, 1))
+    calls = []
+    fam.q_prime = lambda t: calls.append(t) or 0.25 + (1e-9 if t >= 0.3 else -1e-9)
+    t, capped = fam.solve_mean(0.25)
+    assert capped is False
+    assert abs(t - 0.3) <= 1e-14
+    assert len(calls) < 200  # stopped on the width, not on the iteration count
