@@ -443,6 +443,29 @@ def _max_plus_reach(chain: RecodedChain, z: np.ndarray, n: int) -> np.ndarray:
 #: at most _DP_SLOPE over max z columns and are renormalized at most _DP_RENORM steps apart.
 _DP_SCALE_BELOW, _DP_RENORM, _DP_SLOPE = 2.0 ** -960, 16, 896
 _NORMAL = float(np.finfo(float).tiny)  # the smallest normal double
+#: The plain DP on s states runs in blocks of k = _BLOCK_ROW // (s * max z) windows when
+#: s * s * max z <= _BLOCK_WORK and n >= _BLOCK_FROM * k: measured at n = 3000, blocks took
+#: 0.2-0.75 of the per-window time where s * s * max z <= 16, and 1.0-3.4 times it from 18 to 64.
+_BLOCK_ROW, _BLOCK_WORK, _BLOCK_FROM = 64, 16, 3
+
+
+def _window(PT: np.ndarray, groups, v: np.ndarray, out: np.ndarray, lo: int, hi: int,
+            new_lo: int, new_hi: int, scale: np.ndarray | None = None) -> None:
+    """One window of the lattice DP, states on ``v``'s second-last axis and
+    sum columns on its last: ``out = PT @ v`` on columns ``lo .. hi``, then
+    each z-group's rows of ``out``, shifted up by the group's z, into ``v`` on
+    columns ``new_lo .. new_hi``."""
+    np.matmul(PT, v[..., lo:hi + 1], out=out[..., lo:hi + 1])
+    for g, (zi, rows) in enumerate(groups):
+        src = out[..., rows, new_lo - zi:new_hi + 1 - zi]
+        v[..., rows, new_lo:new_hi + 1] = src if scale is None else src * scale[g, new_lo:new_hi + 1]
+
+
+def _block(A: np.ndarray, B: np.ndarray, x: np.ndarray, y: np.ndarray, t0: int, t1: int) -> None:
+    """One block of k windows of the lattice DP on tiles ``t0 .. t1 - 1``:
+    ``y[t] = x[t] @ A + x[t - 1] @ B``."""
+    np.matmul(x[t0:t1], A, out=y[t0:t1])
+    y[t0:t1] += x[t0 - 1:t1 - 1] @ B
 
 
 def _lattice_masses(mu: LeafMeasure, z: Sequence[int], n: int, zlo: int, zhi: int,
@@ -457,15 +480,28 @@ def _lattice_masses(mu: LeafMeasure, z: Sequence[int], n: int, zlo: int, zhi: in
     mass exactly zero.  Column ``max z + Z`` holds sum ``Z``; the ``max z``
     columns below sum 0 stay zero, so each z-group's shift is one copy.
 
+    On s states with ``s * s * max z <= _BLOCK_WORK``, from ``n >= _BLOCK_FROM
+    * k``, the plain DP advances k windows at a time by blocked matrix
+    products (Goto & van de Geijn 2008).  k window steps from the unit starts
+    give the k-window kernel T; the ``n mod k`` windows before the first
+    block read it part-way.  The sums sit in tiles of ``k * max z`` rows, one
+    row per sum and one column per state, on a grid fixed at sum 0, and a
+    block maps tile t to ``x[t] @ A + x[t - 1] @ B``, A and B the
+    block-Toeplitz halves of T, on the tiles of the band after its last
+    window, at least two (numpy sends a one-row product to gemv, which rounds
+    otherwise).  Cells below the band only feed cells that cannot reach
+    ``zlo``, so a sum's bits do not depend on the interval.
+
     ``e`` is zero unless the result is below ``_DP_SCALE_BELOW``, where cells
     that matter may have left the normal range.  Then the DP reruns
-    ``scaled``: column c holds its masses times ``2**E[c]`` with E >= 0, a
-    shift multiplies by ``2**(E[c] - E[c - z])``, and renormalizing moves each
-    column's largest entry into [1/2, 1).  Powers of two commute with the
-    matmul, so a result in the normal range has the plain DP's bits.
+    ``scaled``, one window at a time: column c holds its masses times
+    ``2**E[c]`` with E >= 0, a shift multiplies by ``2**(E[c] - E[c - z])``,
+    and renormalizing moves each column's largest entry into [1/2, 1).
+    Powers of two commute with the matmul, so a result in the normal range
+    has the bits of the plain DP run one window at a time.
     """
     chain = mu.chain
-    K = chain.block
+    K, s = chain.block, chain.num_states
     z = np.asarray(z, dtype=np.int64)
     zmax = int(z.max())
     reach = _max_plus_reach(chain, z, n)
@@ -475,7 +511,7 @@ def _lattice_masses(mu: LeafMeasure, z: Sequence[int], n: int, zlo: int, zhi: in
     if (los > his).any():  # no cell reaches the interval
         return np.zeros(0), np.zeros(0, dtype=np.intc)
     los, his, width = los.tolist(), his.tolist(), zmax + zhi + 1
-    v = np.zeros((chain.num_states, width))
+    v = np.zeros((s, width))
     out = np.zeros_like(v)
     v[mu.start_index, zmax] = 1.0
     PT = mu.transition.T.copy()
@@ -490,12 +526,31 @@ def _lattice_masses(mu: LeafMeasure, z: Sequence[int], n: int, zlo: int, zhi: in
     for _ in range(K - 1):  # the steps before the first window add nothing
         np.matmul(PT, v[:, lo:hi + 1], out=out[:, lo:hi + 1])
         v, out = out, v
+    k = _BLOCK_ROW // (s * zmax) if 0 < s * s * zmax <= _BLOCK_WORK else 0
+    if not scaled and k and n >= _BLOCK_FROM * k:
+        L, r = k * zmax, n % k
+        T = np.zeros((s, s, zmax + L + 1))  # T[i, j, zmax + w]: from state i to j, adding w
+        T[range(s), range(s), zmax] = 1.0
+        T_out, x = np.zeros_like(T), np.zeros((zhi // L + 3, L * s))  # tile 0: sums -L .. -1
+        for w in range(k):
+            if w == r:  # the band after the windows before the first block
+                x[1] = np.einsum("i,ijc->cj", v[:, zmax], T[:, :, zmax:zmax + L]).ravel()
+            _window(PT, groups, T, T_out, 0, zmax + L, zmax, zmax + L)
+        W = np.pad(T[:, :, zmax:], ((0, 0), (0, 0), (L, L - 1)))  # W[..., L + w] = T[..., zmax + w]
+        h, a, i, b, j = np.ogrid[1:3, :L, :s, :L, :s]  # A (h = 1) and B (h = 2): sum row a to b
+        A, B = W[i, j, h * L + b - a].reshape(2, L * s, L * s)
+        y = np.zeros_like(x)
+        for d in range(r + k, n + 1, k):
+            t0 = (los[d - 1] - zmax) // L + 1
+            _block(A, B, x, y, t0, max((his[d - 1] - zmax) // L + 2, t0 + 2))
+            x, y = y, x
+        m = x.reshape(-1, s)[L + los[-1] - zmax:L + his[-1] - zmax + 1].sum(axis=1)
+        if m.sum() >= _DP_SCALE_BELOW:
+            return m, np.zeros(len(m), dtype=np.intc)
+        return _lattice_masses(mu, z, n, zlo, zhi, scaled=True)
     for d, (lo_d, hi_d) in enumerate(zip(los, his), 1):
-        np.matmul(PT, v[:, lo:hi + 1], out=out[:, lo:hi + 1])
+        _window(PT, groups, v, out, lo, hi, lo_d, hi_d, scale)
         left, lo, hi = lo, lo_d, hi_d
-        for g, (zi, rows) in enumerate(groups):
-            src = out[rows, lo - zi:hi + 1 - zi]
-            v[rows, lo:hi + 1] = src if scale is None else src * scale[g, lo:hi + 1]
         if scaled:  # stale columns below the band only feed cells that cannot reach zlo,
             out[:, left:lo] = 0.0  # but they would sway the renormalization
         if not scaled or d < renorm:

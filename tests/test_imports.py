@@ -1,8 +1,9 @@
 """Module boundaries: no module of the package imports a private
 (underscore) name from a sibling module, every Perron solve goes through
 ``rpf_solve``, only ``thermo`` solves Perron problems and assembles Gibbs
-chains, a ``TiltFamily`` solves only in ``rpf``, and one sampler body and
-the Monte Carlo estimator are the only walkers."""
+chains, a ``TiltFamily`` solves only in ``rpf``, one sampler body and the
+Monte Carlo estimator are the only walkers, and one window step serves the
+lattice DP."""
 
 import ast
 from pathlib import Path
@@ -47,6 +48,13 @@ def _package_callers(name):
 def test_perron_kernels_are_called_only_by_rpf_solve():
     for kernel in ("_power_stalls", "_inverse_step", "_collatz_wielandt"):
         assert set(_package_callers(kernel)) == {"thermo.py:rpf_solve"}, kernel
+
+
+def test_one_window_step_serves_the_per_window_dp_and_the_block_kernel():
+    """The z-group shift lives in ``_window``: the per-window DP and the
+    k-window kernel's build are its two call sites."""
+    assert _package_callers("_window") == ["ldp.py:_lattice_masses"] * 2
+    assert _package_callers("_block") == ["ldp.py:_lattice_masses"]
 
 
 def test_tilt_family_solves_only_in_rpf():

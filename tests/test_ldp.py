@@ -826,12 +826,20 @@ def _full_width_masses(mu, z, n):
     return v.sum(axis=0)
 
 
-def _reference_mass(mu, phi, interval, n):
-    """The lattice run's mass from the full-width DP, added in order."""
+def _full_width_run(mu, z, n):
+    """The library's lattice DP with its band opened to full width: the mass
+    of every sum 0 .. F(n), on the same tile grid as any narrower band."""
+    masses, exps = ldp._lattice_masses(mu, z, n, 0, n * max(z))
+    assert not exps.any()
+    return masses
+
+
+def _reference_mass(mu, phi, interval, n, masses=_full_width_masses):
+    """The lattice run's mass from a full-width DP, added in order."""
     lattice = _detect_lattice(phi_vector(mu.chain, phi))
     zlo, zhi = ldp._lattice_inside(interval, lattice, n)
     total = 0.0
-    for m in _full_width_masses(mu, lattice[2], n)[zlo:zhi + 1]:
+    for m in masses(mu, lattice[2], n)[zlo:zhi + 1]:
         total += float(m)
     return total
 
@@ -863,8 +871,9 @@ def memory3_leaf():
 
 def test_lattice_dp_equals_full_width_dp(fs2, gm, memory3_leaf):
     """The DP computes only the sums that can still land in the interval; the
-    run it sums is bit for bit the full-width DP's.  On the memory-3 chain,
-    pre-window steps (j < K) are where an off-by-one would show."""
+    run it sums is bit for bit the same DP's opened to full width (on the
+    2-state chains, blocks on a tile grid fixed at sum 0).  On the memory-3
+    chain, pre-window steps (j < K) are where an off-by-one would show."""
     mu3, dyadic3, phi3 = memory3_leaf
     cases = [(leaf_measure(fs2, bernoulli_potential(fs2, 0.3), (1,)), Potential.indicator(fs2, 1),
               (1, 2, 7, 60, 301, 1000)),
@@ -876,7 +885,7 @@ def test_lattice_dp_equals_full_width_dp(fs2, gm, memory3_leaf):
             for n in ns:
                 p = deviation_mass_exact(mu, phi, iv, n, mode="dp")
                 assert p.method == "dp-lattice"
-                assert p.mass == _reference_mass(mu, phi, iv, n), (iv, n)
+                assert p.mass == _reference_mass(mu, phi, iv, n, _full_width_run), (iv, n)
 
 
 def test_lattice_dp_matches_full_width_dp_on_gibbs_leaf(memory3_leaf):
@@ -897,7 +906,7 @@ def test_lattice_dp_equals_full_width_dp_where_the_max_plus_band_binds(gm, memor
     r * max z.  The golden mean's largest cycle mean is 1/2 < max z = 1; on
     the dyadic memory-3 leaf, symbol 1 never repeats, so the count of 1s in a
     state's word over 3 has largest cycle mean 1/2 < 2/3.  Intervals that end
-    near it are where the bound cuts; the run is the full-width DP's, bit for bit."""
+    near it are where the bound cuts; the run is the full-width run's, bit for bit."""
     _, dyadic3, _ = memory3_leaf
     ones3 = Potential(3, {w: w.count(1) / 3 for w in dyadic3.chain.states})
     assert ergodic_range(dyadic3.chain.base, ones3) == (0.0, 0.5)
@@ -912,7 +921,7 @@ def test_lattice_dp_equals_full_width_dp_where_the_max_plus_band_binds(gm, memor
             for n in ns:
                 p = deviation_mass_exact(mu, phi, iv, n, mode="dp")
                 assert p.method == "dp-lattice"
-                assert p.mass == _reference_mass(mu, phi, iv, n), (iv, n)
+                assert p.mass == _reference_mass(mu, phi, iv, n, _full_width_run), (iv, n)
 
 
 def test_lattice_dp_below_2_to_the_minus_960_keeps_the_plain_bits(fs2):
@@ -972,6 +981,57 @@ def test_lattice_dp_log_mass_on_the_golden_mean_at_n_10000(gm):
     assert p.log_mass == pytest.approx(want, rel=1e-9)
 
 
+def test_blocked_lattice_dp_matches_the_per_window_dp(fs2, gm, monkeypatch):
+    """On small chains (states**2 * max z <= 16) the plain DP advances k
+    windows per pair of blocked matrix products, which round otherwise than
+    one window at a time.  Seeded Gibbs leaves on 2-4 states (two recoded
+    at memory 2, so a pre-step runs), z up to 3, n up to 3000, intervals
+    between random quantiles and in an upper tail: the interval mass is
+    within 1e-13 of the per-window DP's, and the banded masses equal the
+    full-width run's."""
+    counts = {"_block": 0, "_window": 0}
+    for name, step in [(name, getattr(ldp, name)) for name in counts]:
+        def counted(*args, name=name, step=step):
+            counts[name] += 1
+            return step(*args)
+        monkeypatch.setattr(ldp, name, counted)
+    rng = np.random.default_rng(43)
+    fs3, fs4 = (validate_spec(np.ones((m, m), dtype=int)) for m in (3, 4))
+    leaves = [(fs2, 1, 3, 3000), (gm, 1, 2, 700), (fs3, 1, 1, 400), (gm, 2, 1, 1000),
+              (fs2, 2, 1, 3000), (fs4, 1, 1, 250), (fs2, 1, 2, 130)]  # spec, memory, max z, n
+    for spec, memory, zmax, n in leaves:
+        words = admissible_words(spec, memory)
+        G = Potential(memory, dict(zip(words, rng.uniform(0.5, 5) * rng.standard_normal(len(words)))))
+        mu = leaf_measure(spec, G, words[int(rng.integers(len(words)))])
+        z = rng.integers(0, zmax + 1, size=mu.chain.num_states)
+        z[rng.permutation(len(z))[:2]] = 0, zmax
+        assert mu.chain.block == memory and mu.chain.num_states <= 4
+        full, per_window = _full_width_run(mu, z, n), _full_width_masses(mu, z, n)
+        cdf, tail = np.cumsum(full), np.cumsum(full[::-1])[::-1]
+        u = np.sort(rng.uniform(0.01, 0.99, size=2))
+        upper = int(np.flatnonzero(tail > 1e-200)[-1])
+        for zlo, zhi in ((*np.searchsorted(cdf, u),), (upper, n * zmax)):
+            blocks = counts["_block"]
+            masses, exps = ldp._lattice_masses(mu, z, n, zlo, zhi)
+            assert counts["_block"] > blocks and not exps.any()
+            assert np.array_equal(masses, full[zlo:zhi + 1]), (spec, memory, n, zlo, zhi)
+            assert masses.sum() == pytest.approx(per_window[zlo:zhi + 1].sum(), rel=1e-13, abs=0)
+
+    # fs2 at n = 10**4 on an interval whose mass stays a normal double.
+    mu, ind1 = leaf_measure(fs2, Potential.zero(fs2), (0,)), Potential.indicator(fs2, 1)
+    blocks = counts["_block"]
+    p = deviation_mass_exact(mu, ind1, Interval(0.6, 1.0), 10_000, mode="dp")
+    assert counts["_block"] > blocks and p.mass > 2.0 ** -960
+    assert p.log_mass == pytest.approx(_log_fs2_upper_tail(10_000, 6000), rel=1e-12)
+
+    # Below 2**-960 the blocked plain pass is discarded and the rerun goes one window at a time.
+    mu = leaf_measure(fs2, bernoulli_potential(fs2, 0.7), (1,))
+    blocks, windows = counts["_block"], counts["_window"]
+    p = deviation_mass_exact(mu, ind1, Interval(0.9, 1.0), 870, mode="dp")
+    assert p.mass < 2.0 ** -960 and counts["_block"] > blocks
+    assert counts["_window"] - windows == ldp._BLOCK_ROW // 2 + 870
+
+
 def test_lattice_dp_structurally_empty_interval(fs2, gm):
     """No word reaches these intervals: above the golden mean's largest cycle
     mean 1/2, or between two lattice points."""
@@ -984,16 +1044,22 @@ def test_lattice_dp_structurally_empty_interval(fs2, gm):
 
 def _binned_reference_bracket(mu, pvec, interval, n, bin_width=1e-3, divide=True):
     """The binned DP's bracket by the per-sum loop it replaced: the full-width
-    DP on the bins (divided by their common factor unless ``divide`` is
-    False), then one ``Fraction`` bracket per nonzero sum, added in order to
-    ``high`` when it meets the interval and to ``low`` when it lies inside."""
+    run on the bins divided by their common factor g, then one ``Fraction``
+    bracket per nonzero sum, added in order to ``high`` when it meets the
+    interval and to ``low`` when it lies inside.  Unless ``divide``, the loop
+    runs over the undivided sums, g * Z holding the divided run's mass of Z."""
     unit = Fraction(bin_width)
     raw = [int(round(float(v) / bin_width)) for v in pvec]
     zmin = min(raw)
-    g = (math.gcd(*(r - zmin for r in raw)) or 1) if divide else 1
+    g = math.gcd(*(r - zmin for r in raw)) or 1
     slack = max(abs(Fraction(float(v)) - unit * r) for v, r in zip(pvec, raw))
+    masses = _full_width_run(mu, [(r - zmin) // g for r in raw], n)
+    if not divide:
+        undivided = np.zeros(g * (len(masses) - 1) + 1)
+        undivided[::g] = masses
+        masses, g = undivided, 1
     low = high = 0.0
-    for Z, m in enumerate(_full_width_masses(mu, [(r - zmin) // g for r in raw], n)):
+    for Z, m in enumerate(masses):
         if m == 0.0:
             continue
         avg = unit * zmin + unit * g * Fraction(Z, n)
@@ -1006,7 +1072,7 @@ def _binned_reference_bracket(mu, pvec, interval, n, bin_width=1e-3, divide=True
 
 
 def _bern03_reference_bracket(mu, pvec, interval, n, bin_width=1e-3):
-    """The binned DP's bracket on the undivided z, over the full-width DP."""
+    """The binned DP's bracket over the undivided sums."""
     return _binned_reference_bracket(mu, pvec, interval, n, bin_width, divide=False)
 
 
