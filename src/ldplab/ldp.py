@@ -727,7 +727,9 @@ def deviation_mass_mc(mu: LeafMeasure, obs: Potential, interval: Interval, n: in
     ``potential + t * obs`` and reweighted by the exact per-step transition
     probability ratio, so the estimator stays unbiased for any t.  The
     estimate and standard error are deterministic given (seed, parameters);
-    sample i consumes a fixed slice of a counter-based stream.
+    sample i consumes a fixed slice of a counter-based stream.  A block of
+    k walk steps adds its log ratios as one sum, so tilted bits can move in
+    the last places against per-step sums; untilted ones do not.
     """
     if interval.is_empty():
         raise EmptyInterval(f"interval {interval} is empty")
@@ -746,7 +748,7 @@ def deviation_mass_mc(mu: LeafMeasure, obs: Potential, interval: Interval, n: in
     tables = walk_tables(chain, P_sim)
     W, dst, _ = tables
     vals = vals[dst]  # per edge slot from here on, as is log_ratio
-    log_ratio = None
+    log_ratio = np.zeros(len(dst))
     if P_sim is not mu.transition:
         src = np.arange(len(dst)) // W
         sim = P_sim[src, dst]
@@ -755,20 +757,23 @@ def deviation_mass_mc(mu: LeafMeasure, obs: Potential, interval: Interval, n: in
         log_ratio = np.log(ratio, out=np.full_like(ratio, -np.inf), where=ratio > 0)
 
     steps = n + K - 1
-    total = 0.0
-    total_sq = 0.0
-    for _, j, slot in markov_walks(tables, mu.start_index, steps, samples, seed):
+    total = total_sq = 0.0
+    per_span = {}  # (span, steps before the Birkhoff sum starts) -> per-key tables
+    for _, j, key, paths in markov_walks(tables, mu.start_index, steps, samples, seed):
+        span = paths.shape[1]
         if j == 1:  # first step of a sub-block of walks
-            birk = np.zeros(len(slot), dtype=vals.dtype)
-            loglr = np.zeros(len(slot))
-        if log_ratio is not None:
-            loglr += log_ratio.take(slot)
-        if j >= K:
-            birk += vals.take(slot)
-        if j == steps:
-            w = member(birk).astype(np.float64)
-            if log_ratio is not None:
-                w = w * np.exp(loglr)
+            birk, loglr = np.zeros(len(key), dtype=vals.dtype), np.zeros(len(key))
+        skip = min(max(K - j, 0), span)
+        if (span, skip) not in per_span:
+            part = vals[paths[:, skip:]]  # integer sums add a block at once, floats in walk order
+            per_span[span, skip] = ([part.sum(axis=1)] if vals.dtype.kind == "i" else list(part.T.copy()),
+                                    log_ratio[paths].sum(axis=1))
+        parts, lr = per_span[span, skip]
+        for part in parts:
+            birk += part.take(key)
+        loglr += lr.take(key)
+        if j + span > steps:
+            w = member(birk) * np.exp(loglr)
             total += float(w.sum())
             total_sq += float((w * w).sum())
     est = total / samples

@@ -12,6 +12,8 @@ audit below measures those constants instead of assuming them.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,6 +36,14 @@ CHUNK_ROWS = 1 << 16
 #: Most uniforms one draw of the path sampler holds; a counter block's walks
 #: are drawn in row sub-blocks of at most this many doubles (8 MB).
 MAX_UNIFORMS = 1 << 20
+
+#: Sub-blocks of at least this many uniforms are filled on two threads.
+_SPLIT_FROM = 1 << 16
+
+#: Calls with fewer walk steps (count * steps) times steps per block step
+#: singly: the block tables cost more than they save (measured break-even
+#: near 8k walk steps at 4 and 8 steps per block, 32k at 2).
+_BLOCK_FROM = 1 << 16
 
 
 @dataclass(eq=False)
@@ -310,38 +320,105 @@ def walk_tables(chain: RecodedChain, transition: np.ndarray) -> tuple[int, np.nd
     return W, dst.ravel(), cum.ravel()
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _block_plan(W: int, dst: np.ndarray, cum: np.ndarray, steps: int, count: int):
+    """``(k, thresholds, paths, nxt)`` of the blocked walk, or None above its
+    rule or below ``_BLOCK_FROM``.  Where b <= 4 states branch, each in two,
+    a step's choice is the b bits ``u >= thresholds[p]`` (+inf pads b to a
+    power of two); k = 8 // b steps pack into one byte ``code``, and key
+    ``state << 8 | code`` takes the k slots ``paths[key]`` to ``nxt[key]``."""
+    deg = np.isfinite(cum.reshape(-1, W)).sum(axis=1) + 1
+    branching = np.flatnonzero(deg > 1)
+    b = 1 << (len(branching) - 1).bit_length()
+    k = 8 // b
+    if deg.max() != 2 or b > 4 or steps < k or count * steps * k < _BLOCK_FROM:
+        return None
+    pos = np.maximum(np.cumsum(deg > 1) - 1, 0)  # bit of each branching state
+    state, code = np.arange(len(deg) << 8) >> 8, np.arange(len(deg) << 8) & 255
+    paths = np.empty((len(code), k), dtype=np.intp)
+    for t in range(k):
+        paths[:, t] = slot = state * W + ((code >> (t * b + pos[state])) & (deg[state] - 1))
+        state = dst[slot]
+    return k, np.pad(cum[branching * W], (0, b - len(branching)), constant_values=np.inf), paths, state
+
+
+def _fill(seed: int, chunk_index: int, first_row: int, rows: int, steps: int,
+          buf: np.ndarray, plan, codes: np.ndarray) -> np.ndarray:
+    """:func:`_uniform_block` of ``rows`` rows and, under a ``plan``, their
+    block codes into ``codes``: bit ``t * b + p`` of code ``c`` is
+    ``u >= thresholds[p]`` at step ``c * k + t``.  From ``_SPLIT_FROM``
+    uniforms on, when two CPUs are usable, a helper thread does the second
+    half of the rows."""
+    half = rows // 2 if rows * steps >= _SPLIT_FROM and _usable_cpus() > 1 else rows
+    errors: list[BaseException] = []
+
+    def part(lo: int, hi: int) -> None:
+        try:
+            U = _uniform_block(seed, chunk_index, first_row + lo, hi - lo, steps, buf[lo * steps:])
+            if plan is not None:
+                m = steps // plan[0] * plan[0]
+                bits = np.empty((hi - lo, m, len(plan[1])), dtype=bool)
+                for p, c in enumerate(plan[1]):
+                    np.greater_equal(U[:, :m], c, out=bits[..., p])
+                codes[lo:hi] = np.packbits(bits, bitorder="little").reshape(hi - lo, m // plan[0])
+        except BaseException as exc:  # raised below, once both halves are done
+            errors.append(exc)
+
+    helper = threading.Thread(target=part, args=(half, rows))
+    if half < rows:
+        helper.start()
+    part(0, half)
+    if half < rows:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return buf[:rows * steps].reshape(rows, steps)
+
+
 def markov_walks(tables: tuple[int, np.ndarray, np.ndarray], start_index: int, steps: int,
                  count: int, seed: int = 0, first: int = 0):
     """Walks of ``steps`` transitions from ``start_index``, one per sample
     index ``first .. first + count - 1``, on the :func:`walk_tables` ``tables``.
 
     Index ``i`` reads row ``i % CHUNK_ROWS`` of counter block ``i // CHUNK_ROWS``,
-    so its walk depends only on (seed, i, steps).  The requested rows of a
-    counter block are drawn in sub-blocks of at most ``MAX_UNIFORMS``
-    uniforms, each into one buffer sized once per call, and ``(rows, j, slot)``
-    yielded for ``j = 1 .. steps``: ``rows`` slices the sub-block's walks
-    (counted from ``first``) and ``slot`` holds the edge slot each took at
-    step ``j``, from state ``slot // W`` to ``dst[slot]``.  A step is a
-    branchless binary search of ``log2 W`` levels over ``cum``, so every
-    walk is bit for bit that of a plain inverse-CDF draw.
+    so its walk depends only on (seed, i, steps), not on the fill threads.
+    A counter block's rows are drawn in sub-blocks of at most ``MAX_UNIFORMS``
+    uniforms into one buffer, each yielding ``(rows, j, key, paths)``: the
+    walks ``rows`` (counted from ``first``) took the edge slots ``paths[key]``
+    from step ``j`` on.  A :func:`_block_plan` block takes k steps per lookup;
+    any other step is a branchless binary search of ``log2 W`` levels over
+    ``cum``, with ``paths[slot] == [slot]``.  Every walk is bit for bit that
+    of a plain inverse-CDF draw.
     """
     W, dst, cum = tables
     base = dst * W
-    levels = [(h, cum[h - 1:]) for h in (W >> k for k in range(1, W.bit_length()))]
+    levels = [(h, cum[h - 1:]) for h in (W >> i for i in range(1, W.bit_length()))]
+    one = np.arange(len(dst))[:, None]
+    plan = _block_plan(W, dst, cum, steps, count)
+    k, _, paths, nxt = plan or (steps + 1, None, None, None)  # without a plan, no blocks
     lo, end = first, first + count
     sub_rows = max(1, MAX_UNIFORMS // max(steps, 1))
     buf = np.empty(min(count, CHUNK_ROWS, sub_rows) * steps)
+    codes = np.empty((min(count, CHUNK_ROWS, sub_rows), steps // k), dtype=np.uint8)
     while lo < end:
         block, row = divmod(lo, CHUNK_ROWS)
         hi = min(end, (block + 1) * CHUNK_ROWS, lo + sub_rows)
-        U = _uniform_block(seed, block, row, hi - lo, steps, buf)
+        U = _fill(seed, block, row, hi - lo, steps, buf, plan, codes)
         rows = slice(lo - first, hi - first)
-        slot = np.full(hi - lo, start_index * W, dtype=np.intp)
-        for j in range(1, steps + 1):
+        state = np.full(hi - lo, start_index, dtype=np.intp)
+        for c in range(steps // k):
+            key = (state << 8) | codes[:hi - lo, c]
+            yield rows, c * k + 1, key, paths
+            state = nxt.take(key)
+        slot = state * W
+        for j in range(steps // k * k + 1, steps + 1):
             u = np.ascontiguousarray(U[:, j - 1])  # read once per search level
             for h, c in levels:
                 slot += h * (u >= c.take(slot))
-            yield rows, j, slot
+            yield rows, j, slot, one
             slot = base.take(slot)
         lo = hi
 
@@ -353,9 +430,13 @@ def _leaf_rows(mu: LeafMeasure, n: int, count: int, seed: int, first: int) -> np
     out = np.empty((count, n), dtype=np.int16)
     out[:, 0] = mu.start_symbol
     tables = walk_tables(mu.chain, mu.transition)
-    sym = mu.chain.last_symbols()[tables[1]]
-    for rows, j, slot in markov_walks(tables, mu.start_index, n - 1, count, seed, first):
-        out[rows, j] = sym.take(slot)
+    sym = mu.chain.last_symbols()[tables[1]].astype(np.int16)
+    per_span = {}  # each key's symbols along its slots, as one item of 2 * span bytes
+    for rows, j, key, paths in markov_walks(tables, mu.start_index, n - 1, count, seed, first):
+        item = f"V{2 * paths.shape[1]}"
+        if item not in per_span:
+            per_span[item] = sym[paths].view(item)[:, 0]
+        out[rows, j:j + paths.shape[1]].view(item)[:, 0] = per_span[item].take(key)
     return out
 
 

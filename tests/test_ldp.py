@@ -1556,16 +1556,21 @@ def test_contraction_check_takes_the_rate_curves_point_on_a_one_point_range(fs2)
 
 
 def test_mc_gives_an_underflowed_edge_weight_zero_without_a_warning():
-    """On the full 3-shift with G = (-700, 0, -100), the edges into symbol 2
-    from symbol 0 get probability 0 in the leaf chain (the product
-    exp(-700) * exp(-100) underflows), but not in the chain tilted by 100 on
-    symbol 2.  Walks through them get weight 0, with no warning, and
-    (mass, stderr) keep their bits."""
+    """An edge whose probability lies below the double range is 0 in the leaf
+    chain.  A Gibbs chain of a potential within +-700 has no such edge (row i
+    is h_j / sum of h_k over i's successors), so this leaf is the 3-shift's
+    chain for G = (-700, 0, -100) with edge 0 -> 2 (about 3.7e-44) set to 0.
+    The chain tilted by 100 on symbol 2 takes that edge about half the time.
+    Walks through it get weight 0, with no warning, and (mass, stderr) keep
+    their bits."""
     fs3 = validate_spec(np.ones((3, 3), dtype=int))
-    mu = leaf_measure(fs3, Potential(1, {(0,): -700.0, (1,): 0.0, (2,): -100.0}), (0,))
-    assert ((mu.transition == 0) & (mu.chain.adjacency > 0)).any()
+    G, ind2 = Potential(1, {(0,): -700.0, (1,): 0.0, (2,): -100.0}), Potential.indicator(fs3, 2)
+    mu = leaf_measure(fs3, G, (0,))
+    P = mu.transition.copy()
+    P[0, 2] = 0.0
+    mu = dataclasses.replace(mu, transition=P)
+    assert TiltFamily.of(fs3, G, ind2).measure(100.0).transition[0, 2] > 0.4
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        p = deviation_mass_mc(mu, Potential.indicator(fs3, 2), Interval(0.0, 1.0), 5, 200,
-                              tilt=100.0, seed=1)
+        p = deviation_mass_mc(mu, ind2, Interval(0.0, 1.0), 5, 200, tilt=100.0, seed=1)
     assert (p.mass, p.stderr) == (1.6000000000000014, 0.4943906456970685)

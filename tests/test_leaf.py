@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from ldplab import (
     Potential,
     TiltFamily,
     WordTooShort,
+    admissible_words,
     birkhoff_sum,
     bowen_ball_mass,
     cylinder_mass,
@@ -449,6 +455,102 @@ def test_walk_kernel_matches_reference_sampler(mu, obs):
     for tilt in (None, 0.6):
         got = deviation_mass_mc(mu, obs, iv, n, count, tilt=tilt, seed=seed)
         assert (got.mass, got.stderr) == _reference_mc(mu, obs, iv, n, count, seed, tilt)
+
+
+def _blocked_cases():
+    """(name, leaf, integer observable, blocked): fs2 and the golden mean
+    (4 and 8 steps per block), fs2 at memory 2 (4 branching states, 2 steps
+    per block) and the golden mean at memory 2 (2 branching states), both
+    with a Birkhoff sum that starts after a step, and chains just above the
+    rule: fs2 at memory 3 (8 branching states) and the 3-shift (3 successors)."""
+    rng = np.random.default_rng(45)
+    fs2, gm, fs3 = (validate_spec(A) for A in ([[1, 1], [1, 1]], [[1, 1], [1, 0]], np.ones((3, 3), int)))
+    cases = []
+    for name, spec, memory, blocked in (("fs2", fs2, 1, True), ("golden", gm, 1, True),
+                                        ("fs2-m2", fs2, 2, True), ("golden-m2", gm, 2, True),
+                                        ("fs2-m3", fs2, 3, False), ("fs3", fs3, 1, False)):
+        words = admissible_words(spec, memory)
+        G = Potential(memory, {w: float(rng.normal()) for w in words})
+        obs = Potential(memory, {w: int(rng.integers(0, 3)) for w in words})
+        cases.append(pytest.param(leaf_measure(spec, G, words[-1]), obs, blocked, id=name))
+    return cases
+
+
+def _walk_results(mu, obs, n, count, seed):
+    iv = Interval(0.5, 1.5)
+    untilted = deviation_mass_mc(mu, obs, iv, n, count, seed=seed)
+    tilted = deviation_mass_mc(mu, obs, iv, n, count, tilt=0.4, seed=seed)
+    return sample_paths(mu, n, count, seed=seed), (untilted.mass, untilted.stderr), (tilted.mass, tilted.stderr)
+
+
+@pytest.mark.parametrize("mu, obs, blocked", _blocked_cases())
+def test_blocked_walks_match_the_per_step_kernel(mu, obs, blocked, monkeypatch):
+    """Walks that take k steps per table lookup are the per-step kernel's
+    walks: the same paths, sample_path(i) is row i, the same untilted
+    (mass, stderr), and tilted ones within 1e-12 (a block sums its log
+    ratios as one table entry).  The fill gives the same bits on one thread
+    and on two."""
+    n, count, seed = 23, 3001, 9
+    tables = leaf.walk_tables(mu.chain, mu.transition)
+    monkeypatch.setattr(leaf, "_BLOCK_FROM", 1 << 62)
+    paths, untilted, tilted = _walk_results(mu, obs, n, count, seed)
+    monkeypatch.setattr(leaf, "_BLOCK_FROM", 0)
+    assert (leaf._block_plan(*tables, n - 1, count) is not None) == blocked
+    monkeypatch.setattr(leaf, "_SPLIT_FROM", 0)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(leaf, "_usable_cpus", lambda cpus=cpus: cpus)
+        runs.append(_walk_results(mu, obs, n, count, seed))
+    for got_paths, got_untilted, got_tilted in runs:
+        assert (got_paths == paths).all()
+        assert got_untilted == untilted
+        assert got_tilted == pytest.approx(tilted, rel=1e-12, abs=0)
+    assert (runs[0][0] == runs[1][0]).all() and runs[0][1:] == runs[1][1:]
+    for i in (0, 1500, count - 1):
+        assert sample_path(mu, n, seed=seed, index=i) == tuple(paths[i])
+
+
+def test_walk_calls_leave_no_thread_running(uniform_leaf, monkeypatch):
+    """The fill's helper thread is joined before a sub-block's walks are
+    yielded, also when its fill raises; the caller then sees the helper's
+    exception."""
+    monkeypatch.setattr(leaf, "_usable_cpus", lambda: 2)
+    threads = threading.active_count()
+    ind1 = Potential.indicator(uniform_leaf.chain.base, 1)
+    deviation_mass_mc(uniform_leaf, ind1, Interval(0.7, 1.0), 40, 20000, tilt=0.8, seed=1)
+    assert threading.active_count() == threads
+    sample_paths(uniform_leaf, 40, 20000, seed=1)
+    assert threading.active_count() == threads
+
+    class HelperFailed(Exception):
+        pass
+
+    def fill(seed, chunk_index, first_row, rows, steps, buf):
+        if first_row > 0:  # the helper's half of the first sub-block
+            raise HelperFailed
+        return _uniform_block(seed, chunk_index, first_row, rows, steps, buf)
+
+    monkeypatch.setattr(leaf, "_uniform_block", fill)
+    with pytest.raises(HelperFailed):
+        deviation_mass_mc(uniform_leaf, ind1, Interval(0.7, 1.0), 40, 20000, seed=1)
+    with pytest.raises(HelperFailed):
+        sample_paths(uniform_leaf, 40, 20000, seed=1)
+    assert threading.active_count() == threads
+
+
+def test_import_starts_no_thread_and_loads_no_new_module():
+    """``import ldplab``, after numpy and the standard modules the package has
+    long imported by name, loads only the package itself and starts no
+    thread (``threading`` comes with numpy)."""
+    code = ("import __future__, sys, threading, numpy, argparse, bisect, collections, contextlib\n"
+            "import dataclasses, fractions, functools, hashlib, json, math, os, typing\n"
+            "before = set(sys.modules)\n"
+            "import ldplab\n"
+            "new = {m for m in set(sys.modules) - before if m.split('.')[0] != 'ldplab'}\n"
+            "print(threading.active_count(), *sorted(new))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(Path(leaf.__file__).parents[1])))
+    assert out.stdout.split() == ["1"]
 
 
 # ---------------------------------------------------------------------------

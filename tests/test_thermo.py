@@ -804,6 +804,19 @@ def test_gibbs_full_shift_is_uniform(fs2):
     assert np.allclose(mu.stationary, 0.5, atol=1e-12)
 
 
+def test_gibbs_chain_keeps_every_admissible_edge_where_m_h_underflows():
+    """On the full 3-shift with G = (-700, 0, -100), M[i, j] h[j] underflows
+    on three admissible edges before the division by lam h[i] brings it back
+    into range.  Recomputed in logs, every row is exp(G) / sum(exp(G)), as for
+    any memory-1 potential on a full shift, and no admissible edge is 0."""
+    fs3 = validate_spec(np.ones((3, 3), dtype=int))
+    G = np.array([-700.0, 0.0, -100.0])
+    mu = equilibrium_measure(fs3, Potential(1, {(a,): G[a] for a in range(3)}))
+    assert (mu.transition[mu.chain.adjacency > 0] > 0).all()
+    want = np.exp(G - np.logaddexp.reduce(G))
+    assert np.allclose(mu.transition, want[None, :], rtol=1e-12, atol=0)
+
+
 def test_gibbs_golden_mean_is_parry(gm):
     g = GOLDEN_RATIO
     mu = equilibrium_measure(gm, Potential.zero(gm))
