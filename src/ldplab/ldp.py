@@ -748,7 +748,7 @@ def deviation_mass_mc(mu: LeafMeasure, obs: Potential, interval: Interval, n: in
     tables = walk_tables(chain, P_sim)
     W, dst, _ = tables
     vals = vals[dst]  # per edge slot from here on, as is log_ratio
-    log_ratio = np.zeros(len(dst))
+    log_ratio = None
     if P_sim is not mu.transition:
         src = np.arange(len(dst)) // W
         sim = P_sim[src, dst]
@@ -767,13 +767,16 @@ def deviation_mass_mc(mu: LeafMeasure, obs: Potential, interval: Interval, n: in
         if (span, skip) not in per_span:
             part = vals[paths[:, skip:]]  # integer sums add a block at once, floats in walk order
             per_span[span, skip] = ([part.sum(axis=1)] if vals.dtype.kind == "i" else list(part.T.copy()),
-                                    log_ratio[paths].sum(axis=1))
+                                    None if log_ratio is None else log_ratio[paths].sum(axis=1))
         parts, lr = per_span[span, skip]
         for part in parts:
             birk += part.take(key)
-        loglr += lr.take(key)
+        if lr is not None:
+            loglr += lr.take(key)
         if j + span > steps:
-            w = member(birk) * np.exp(loglr)
+            w = member(birk).astype(np.float64)
+            if lr is not None:
+                w = w * np.exp(loglr)
             total += float(w.sum())
             total_sq += float((w * w).sum())
     est = total / samples

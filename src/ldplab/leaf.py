@@ -12,8 +12,6 @@ audit below measures those constants instead of assuming them.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,9 +34,6 @@ CHUNK_ROWS = 1 << 16
 #: Most uniforms one draw of the path sampler holds; a counter block's walks
 #: are drawn in row sub-blocks of at most this many doubles (8 MB).
 MAX_UNIFORMS = 1 << 20
-
-#: Sub-blocks of at least this many uniforms are filled on two threads.
-_SPLIT_FROM = 1 << 16
 
 #: Calls with fewer walk steps (count * steps) times steps per block step
 #: singly: the block tables cost more than they save (measured break-even
@@ -320,10 +315,6 @@ def walk_tables(chain: RecodedChain, transition: np.ndarray) -> tuple[int, np.nd
     return W, dst.ravel(), cum.ravel()
 
 
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def _block_plan(W: int, dst: np.ndarray, cum: np.ndarray, steps: int, count: int):
     """``(k, thresholds, paths, nxt)`` of the blocked walk, or None above its
     rule or below ``_BLOCK_FROM``.  Where b <= 4 states branch, each in two,
@@ -345,76 +336,53 @@ def _block_plan(W: int, dst: np.ndarray, cum: np.ndarray, steps: int, count: int
     return k, np.pad(cum[branching * W], (0, b - len(branching)), constant_values=np.inf), paths, state
 
 
-def _fill(seed: int, chunk_index: int, first_row: int, rows: int, steps: int,
-          buf: np.ndarray, plan, codes: np.ndarray) -> np.ndarray:
-    """:func:`_uniform_block` of ``rows`` rows and, under a ``plan``, their
-    block codes into ``codes``: bit ``t * b + p`` of code ``c`` is
-    ``u >= thresholds[p]`` at step ``c * k + t``.  From ``_SPLIT_FROM``
-    uniforms on, when two CPUs are usable, a helper thread does the second
-    half of the rows."""
-    half = rows // 2 if rows * steps >= _SPLIT_FROM and _usable_cpus() > 1 else rows
-    errors: list[BaseException] = []
-
-    def part(lo: int, hi: int) -> None:
-        try:
-            U = _uniform_block(seed, chunk_index, first_row + lo, hi - lo, steps, buf[lo * steps:])
-            if plan is not None:
-                m = steps // plan[0] * plan[0]
-                bits = np.empty((hi - lo, m, len(plan[1])), dtype=bool)
-                for p, c in enumerate(plan[1]):
-                    np.greater_equal(U[:, :m], c, out=bits[..., p])
-                codes[lo:hi] = np.packbits(bits, bitorder="little").reshape(hi - lo, m // plan[0])
-        except BaseException as exc:  # raised below, once both halves are done
-            errors.append(exc)
-
-    helper = threading.Thread(target=part, args=(half, rows))
-    if half < rows:
-        helper.start()
-    part(0, half)
-    if half < rows:
-        helper.join()
-    if errors:
-        raise errors[0]
-    return buf[:rows * steps].reshape(rows, steps)
-
-
 def markov_walks(tables: tuple[int, np.ndarray, np.ndarray], start_index: int, steps: int,
                  count: int, seed: int = 0, first: int = 0):
     """Walks of ``steps`` transitions from ``start_index``, one per sample
     index ``first .. first + count - 1``, on the :func:`walk_tables` ``tables``.
 
     Index ``i`` reads row ``i % CHUNK_ROWS`` of counter block ``i // CHUNK_ROWS``,
-    so its walk depends only on (seed, i, steps), not on the fill threads.
-    A counter block's rows are drawn in sub-blocks of at most ``MAX_UNIFORMS``
-    uniforms into one buffer, each yielding ``(rows, j, key, paths)``: the
-    walks ``rows`` (counted from ``first``) took the edge slots ``paths[key]``
-    from step ``j`` on.  A :func:`_block_plan` block takes k steps per lookup;
-    any other step is a branchless binary search of ``log2 W`` levels over
-    ``cum``, with ``paths[slot] == [slot]``.  Every walk is bit for bit that
-    of a plain inverse-CDF draw.
+    so its walk depends only on (seed, i, steps).  A counter block's rows are
+    drawn in sub-blocks of at most ``MAX_UNIFORMS`` uniforms into one buffer,
+    each yielding ``(rows, j, key, paths)``: the walks ``rows`` (counted from
+    ``first``) took the edge slots ``paths[key]`` from step ``j`` on.  A
+    :func:`_block_plan` block takes k steps per lookup; any other step is a
+    branchless binary search of ``log2 W`` levels over ``cum``, with
+    ``paths[slot] == [slot]``.  Every walk is bit for bit that of a plain
+    inverse-CDF draw.
     """
     W, dst, cum = tables
     base = dst * W
     levels = [(h, cum[h - 1:]) for h in (W >> i for i in range(1, W.bit_length()))]
     one = np.arange(len(dst))[:, None]
     plan = _block_plan(W, dst, cum, steps, count)
-    k, _, paths, nxt = plan or (steps + 1, None, None, None)  # without a plan, no blocks
+    k, thresholds, paths, nxt = plan or (steps + 1, None, None, None)  # without a plan, no blocks
+    m = steps // k * k  # steps walked in blocks
     lo, end = first, first + count
     sub_rows = max(1, MAX_UNIFORMS // max(steps, 1))
     buf = np.empty(min(count, CHUNK_ROWS, sub_rows) * steps)
-    codes = np.empty((min(count, CHUNK_ROWS, sub_rows), steps // k), dtype=np.uint8)
+    if plan is not None:  # bits of 2^16 // m rows at a time, so they add little to ``buf``
+        bits = np.empty((max(1, (1 << 16) // m), m, len(thresholds)), dtype=bool)
+        codes = np.empty((min(count, CHUNK_ROWS, sub_rows), m // k), dtype=np.uint8)
     while lo < end:
         block, row = divmod(lo, CHUNK_ROWS)
         hi = min(end, (block + 1) * CHUNK_ROWS, lo + sub_rows)
-        U = _fill(seed, block, row, hi - lo, steps, buf, plan, codes)
+        U = _uniform_block(seed, block, row, hi - lo, steps, buf)
         rows = slice(lo - first, hi - first)
         state = np.full(hi - lo, start_index, dtype=np.intp)
-        for c in range(steps // k):
+        if plan is not None:  # bit t * b + p of code c is u >= thresholds[p] at step c * k + t
+            for r in range(0, hi - lo, len(bits)):
+                part = U[r:r + len(bits), :m]
+                for p, c in enumerate(thresholds):
+                    np.greater_equal(part, c, out=bits[:len(part), :, p])
+                codes[r:r + len(part)] = np.packbits(bits[:len(part)], bitorder="little").reshape(len(part), -1)
+        for c in range(m // k):
             key = (state << 8) | codes[:hi - lo, c]
             yield rows, c * k + 1, key, paths
             state = nxt.take(key)
-        slot = state * W
-        for j in range(steps // k * k + 1, steps + 1):
+        slot = np.multiply(state, W, out=state)
+        del state  # in place and dropped: the search holds no extra array of walks
+        for j in range(m + 1, steps + 1):
             u = np.ascontiguousarray(U[:, j - 1])  # read once per search level
             for h, c in levels:
                 slot += h * (u >= c.take(slot))

@@ -430,8 +430,9 @@ def gibbs_measure(rpf: RPFData, M: WeightedMatrix) -> MarkovMeasure:
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         P = M.matrix * rpf.right[None, :] / (rpf.eigenvalue * rpf.right[:, None])
-        i, j = np.nonzero((P == 0) & (M.matrix > 0))  # M h_j underflowed: redo in logs
-        P[i, j] = np.exp(np.log(M.matrix[i, j]) + np.log(rpf.right[j]) - np.log(rpf.eigenvalue * rpf.right[i]))
+        if np.count_nonzero(P) < np.count_nonzero(M.matrix):  # some M h_j underflowed: redo in logs
+            i, j = np.nonzero((P == 0) & (M.matrix > 0))
+            P[i, j] = np.exp(np.log(M.matrix[i, j]) + np.log(rpf.right[j]) - np.log(rpf.eigenvalue * rpf.right[i]))
         P = P / P.sum(axis=1, keepdims=True)
         pi = _polish_stationary(rpf.left * rpf.right, P)
     if not (np.isfinite(P).all() and np.isfinite(pi).all()):

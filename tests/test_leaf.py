@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -488,54 +487,19 @@ def test_blocked_walks_match_the_per_step_kernel(mu, obs, blocked, monkeypatch):
     """Walks that take k steps per table lookup are the per-step kernel's
     walks: the same paths, sample_path(i) is row i, the same untilted
     (mass, stderr), and tilted ones within 1e-12 (a block sums its log
-    ratios as one table entry).  The fill gives the same bits on one thread
-    and on two."""
+    ratios as one table entry)."""
     n, count, seed = 23, 3001, 9
     tables = leaf.walk_tables(mu.chain, mu.transition)
     monkeypatch.setattr(leaf, "_BLOCK_FROM", 1 << 62)
     paths, untilted, tilted = _walk_results(mu, obs, n, count, seed)
     monkeypatch.setattr(leaf, "_BLOCK_FROM", 0)
     assert (leaf._block_plan(*tables, n - 1, count) is not None) == blocked
-    monkeypatch.setattr(leaf, "_SPLIT_FROM", 0)
-    runs = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(leaf, "_usable_cpus", lambda cpus=cpus: cpus)
-        runs.append(_walk_results(mu, obs, n, count, seed))
-    for got_paths, got_untilted, got_tilted in runs:
-        assert (got_paths == paths).all()
-        assert got_untilted == untilted
-        assert got_tilted == pytest.approx(tilted, rel=1e-12, abs=0)
-    assert (runs[0][0] == runs[1][0]).all() and runs[0][1:] == runs[1][1:]
+    got_paths, got_untilted, got_tilted = _walk_results(mu, obs, n, count, seed)
+    assert (got_paths == paths).all()
+    assert got_untilted == untilted
+    assert got_tilted == pytest.approx(tilted, rel=1e-12, abs=0)
     for i in (0, 1500, count - 1):
         assert sample_path(mu, n, seed=seed, index=i) == tuple(paths[i])
-
-
-def test_walk_calls_leave_no_thread_running(uniform_leaf, monkeypatch):
-    """The fill's helper thread is joined before a sub-block's walks are
-    yielded, also when its fill raises; the caller then sees the helper's
-    exception."""
-    monkeypatch.setattr(leaf, "_usable_cpus", lambda: 2)
-    threads = threading.active_count()
-    ind1 = Potential.indicator(uniform_leaf.chain.base, 1)
-    deviation_mass_mc(uniform_leaf, ind1, Interval(0.7, 1.0), 40, 20000, tilt=0.8, seed=1)
-    assert threading.active_count() == threads
-    sample_paths(uniform_leaf, 40, 20000, seed=1)
-    assert threading.active_count() == threads
-
-    class HelperFailed(Exception):
-        pass
-
-    def fill(seed, chunk_index, first_row, rows, steps, buf):
-        if first_row > 0:  # the helper's half of the first sub-block
-            raise HelperFailed
-        return _uniform_block(seed, chunk_index, first_row, rows, steps, buf)
-
-    monkeypatch.setattr(leaf, "_uniform_block", fill)
-    with pytest.raises(HelperFailed):
-        deviation_mass_mc(uniform_leaf, ind1, Interval(0.7, 1.0), 40, 20000, seed=1)
-    with pytest.raises(HelperFailed):
-        sample_paths(uniform_leaf, 40, 20000, seed=1)
-    assert threading.active_count() == threads
 
 
 def test_import_starts_no_thread_and_loads_no_new_module():
