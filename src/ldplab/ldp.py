@@ -59,14 +59,16 @@ _HOWARD_MAX_ITER = 1000
 _HOWARD_SLACK = 2.0 ** -40
 
 
-def _cycle_range(chain: RecodedChain, w: np.ndarray) -> tuple[float, float]:
-    """Minimum and maximum mean cycle of ``w`` (weights on the source state)
-    by Howard's policy iteration on two copies of the successor table, with
-    ``w`` and ``-w``, in O(edges) memory.  A state moves to a successor whose
-    cycle mean is larger, or when none is (the chain is strongly connected,
-    so the means are then equal) whose bias is larger by more than the slack.
-    The stop test certifies that no cycle mean exceeds ``eta + slack``; each
-    end is the mean of the final policy's cycle, correctly rounded."""
+def _cycle_range(chain: RecodedChain, w: np.ndarray) -> tuple[float, float, float, np.ndarray]:
+    """``(lo, hi, eta + slack, x)``: the minimum and maximum mean cycle of
+    ``w`` (weights on the source state) by Howard's policy iteration on two
+    copies of the successor table, with ``w`` and ``-w``, in O(edges) memory.
+    A state moves to a successor whose cycle mean is larger, or when none is
+    (the chain is strongly connected, so the means are then equal) whose bias
+    is larger by more than the slack.  The max side's stop test certifies
+    ``w[v] - eta + x[u] - x[v] <= slack`` on every edge ``v -> u``, x its
+    bias, so no cycle mean exceeds ``eta + slack`` (Akian, Bapat and Gaubert
+    1998); each end is the mean of the final policy's cycle, correctly rounded."""
     succ, _ = chain.successor_table
     n = chain.num_states
     S = np.concatenate((succ, succ + n))
@@ -104,7 +106,7 @@ def _cycle_range(chain: RecodedChain, w: np.ndarray) -> tuple[float, float]:
         raise NoConvergence(f"policy iteration did not stop within {_HOWARD_MAX_ITER} iterations")
     hi, neg_lo = (float(sum(map(Fraction, vals.tolist()), Fraction(0)) / len(vals))
                   for vals in (wts[on & (rep == rep[v])] for v in (0, n)))
-    return 0.0 - neg_lo, hi  # +0.0, not -0.0, for a zero minimum
+    return 0.0 - neg_lo, hi, float(eta[0]) + slack, x[:n]  # +0.0, not -0.0, for a zero minimum
 
 
 def _alpha_range(fam: TiltFamily, alpha: float) -> tuple[float, float]:
@@ -121,7 +123,7 @@ def _alpha_range(fam: TiltFamily, alpha: float) -> tuple[float, float]:
     else:
         if min(ends) + 1e-10 < alpha < max(ends) - 1e-10:
             return min(ends), max(ends)
-    return _cycle_range(fam.chain, fam.pvec)
+    return _cycle_range(fam.chain, fam.pvec)[:2]
 
 
 def ergodic_range(spec: SubshiftSpec, obs: Potential) -> tuple[float, float]:
@@ -131,7 +133,7 @@ def ergodic_range(spec: SubshiftSpec, obs: Potential) -> tuple[float, float]:
     periodic orbits, i.e. on min/max mean cycles of the recoded state graph.
     """
     chain = recode(spec, obs.memory)
-    return _cycle_range(chain, phi_vector(chain, obs))
+    return _cycle_range(chain, phi_vector(chain, obs))[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +185,7 @@ def rate_curve(spec: SubshiftSpec, base: Potential, obs: Potential,
                alphas: Sequence[float]) -> RateCurve:
     alphas = tuple(_not_nan("alpha", a) for a in alphas)
     fam = TiltFamily.of(spec, base, obs)
-    alpha_range = _cycle_range(fam.chain, fam.pvec)
+    alpha_range = _cycle_range(fam.chain, fam.pvec)[:2]
     pts = [_rate_point(fam, alpha_range, a) for a in alphas]
     return RateCurve(alphas, tuple(p[0] for p in pts), tuple(p[1] for p in pts),
                      tuple(p[2] for p in pts), alpha_range)
@@ -421,22 +423,14 @@ def _walk_sums(pvec: np.ndarray, lattice, interval: Interval, n: int):
     return np.asarray(lattice[2], dtype=np.int64), lambda sums: (sums >= zlo) & (sums <= zhi)
 
 
-def _max_plus_reach(chain: RecodedChain, z: np.ndarray, n: int) -> np.ndarray:
+def _reach_bound(chain: RecodedChain, z: np.ndarray, n: int) -> np.ndarray:
     """``F[r]``, r = 0 .. n: at least the largest sum of ``z`` (on the target
-    state) that r steps from any state add, by the max-plus recursion ``G_r =
-    max over successors of (z + G_{r-1})`` (Baccelli et al. 1992, ch. 3), exact
-    once ``G_r - G_{r-p}`` is constant; past r = 64 ``F(a + b) <= F(a) + F(b)``."""
-    succ, _ = chain.successor_table
-    zs, G = z[succ], np.zeros((min(n, 64) + 1, chain.num_states), dtype=np.int64)
-    for r in range(1, len(G)):
-        G[r] = (zs + G[r - 1].take(succ)).max(axis=1)
-        d = G[r] - G[:r]
-        if (flat := np.flatnonzero(d.min(axis=1) == d.max(axis=1))).size:
-            break
-    F = G[:r + 1].max(axis=1)
-    p, c = (r - flat[-1], d[flat[-1], 0]) if flat.size else (r, F[r])
-    k = (np.arange(r + 1, n + 1) - r + p - 1) // p
-    return np.concatenate((F, F[np.arange(r + 1, n + 1) - k * p] + k * c))
+    state) that r steps from any state add.  Summed along a path, the edge
+    bound :func:`_cycle_range` certifies on z gives at most ``r * (eta +
+    slack) + max(x - z) - min(x - z)``: rounded down, plus 1 for rounding."""
+    _, _, eta, bias = _cycle_range(chain, z)
+    r = np.arange(n + 1)
+    return np.minimum(r * int(z.max()), np.floor(r * eta + np.ptp(bias - z)).astype(np.int64) + 1)
 
 
 #: A lattice DP result below _DP_SCALE_BELOW is recomputed with column exponents; they rise
@@ -475,10 +469,11 @@ def _lattice_masses(mu: LeafMeasure, z: Sequence[int], n: int, zlo: int, zhi: in
     ``(m, e)``: sum ``zlo + i`` has mass ``m[i] * 2**-e[i]``.
 
     Weights are >= 0.  With d windows done and L left, only the sums from
-    ``zlo - F[L]`` to ``min(F[d], zhi)`` are computed (F from
-    :func:`_max_plus_reach`): one below never reaches ``zlo``, one above has
-    mass exactly zero.  Column ``max z + Z`` holds sum ``Z``; the ``max z``
-    columns below sum 0 stay zero, so each z-group's shift is one copy.
+    ``zlo - F[L]`` to ``min(F[d], zhi)`` are computed (F from the maximum
+    cycle mean of z and its bias, :func:`_reach_bound`): one below never
+    reaches ``zlo``, one above has mass exactly zero.  Column ``max z + Z``
+    holds sum ``Z``; the ``max z`` columns below sum 0 stay zero, so each
+    z-group's shift is one copy.
 
     On s states with ``s * s * max z <= _BLOCK_WORK``, from ``n >= _BLOCK_FROM
     * k``, the plain DP advances k windows at a time by blocked matrix
@@ -504,7 +499,7 @@ def _lattice_masses(mu: LeafMeasure, z: Sequence[int], n: int, zlo: int, zhi: in
     K, s = chain.block, chain.num_states
     z = np.asarray(z, dtype=np.int64)
     zmax = int(z.max())
-    reach = _max_plus_reach(chain, z, n)
+    reach = _reach_bound(chain, z, n)
     zhi = min(zhi, int(reach[n]))
     los = np.maximum.accumulate(np.maximum(zmax + zlo - reach[n - 1::-1], zmax))
     his = np.minimum(zmax + reach[1:], zmax + zhi)  # the band after windows d = 1 .. n
@@ -601,7 +596,7 @@ def _dp_point(mu: LeafMeasure, pvec: np.ndarray, lattice, interval: Interval, n:
     k = int((np.frexp(masses)[1] - exps)[masses > 0].max()) if masses.any() else 0
     run = slice(ilo - zlo, ihi - zlo + 1)
     true, over_k = np.ldexp(masses, -exps), np.ldexp(masses, -exps - k)
-    low, high, low_k, high_k = (float(np.cumsum(np.r_[0.0, x])[-1])
+    low, high, low_k, high_k = (float(np.cumsum(x)[-1]) if x.size else 0.0
                                 for x in (true[run], true, over_k[run], over_k))
     mass = 0.5 * (low + high)
     log_mass = (math.log(mass) if mass >= _NORMAL

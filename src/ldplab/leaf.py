@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -47,21 +48,25 @@ class LeafMeasure:
 
     ``start_state`` is the last ``chain.block`` symbols of the past; leaf
     words begin with its final symbol.  ``transition`` is the transition
-    matrix of the equilibrium measure of ``potential`` and ``pressure`` its
-    log Perron eigenvalue.
+    matrix of the equilibrium measure of ``potential`` (``log_transition``
+    its entrywise log) and ``pressure`` its log Perron eigenvalue.
     """
 
     chain: RecodedChain
     start_state: Word
     start_index: int
     transition: np.ndarray
-    log_transition: np.ndarray
     pressure: float
     potential: Potential
 
     @property
     def start_symbol(self) -> int:
         return self.start_state[-1]
+
+    @cached_property
+    def log_transition(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(self.transition)
 
 
 def leaf_measure(spec: SubshiftSpec, pot: Potential, past: Sequence[int],
@@ -81,13 +86,11 @@ def leaf_measure(spec: SubshiftSpec, pot: Potential, past: Sequence[int],
         raise InadmissiblePast(f"past {past} is not admissible")
     mu = equilibrium_measure(spec, pot, k)
     start = past[-k:]
-    logP = np.where(mu.transition > 0, np.log(np.where(mu.transition > 0, mu.transition, 1.0)), -np.inf)
     return LeafMeasure(
         chain=mu.chain,
         start_state=start,
         start_index=mu.chain.index[start],
         transition=mu.transition,
-        log_transition=logP,
         pressure=mu.pressure,
         potential=pot,
     )

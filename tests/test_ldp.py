@@ -915,13 +915,55 @@ def test_lattice_dp_equals_full_width_dp_where_the_max_plus_band_binds(gm, memor
              (dyadic3, ones3, 0.5, (1, 2, 3, 7, 15))]
     for mu, phi, amax, ns in cases:
         z = _detect_lattice(phi_vector(mu.chain, phi))[2]
-        assert ldp._max_plus_reach(mu.chain, np.asarray(z), 60)[60] < 60 * max(z)
+        assert ldp._reach_bound(mu.chain, np.asarray(z), 60)[60] < 60 * max(z)
         for iv in (Interval(amax - 0.05, amax), Interval(amax - 0.2, amax + 0.1),
                    Interval(amax - 0.5, amax - 0.1), Interval(0.0, amax)):
             for n in ns:
                 p = deviation_mass_exact(mu, phi, iv, n, mode="dp")
                 assert p.method == "dp-lattice"
                 assert p.mass == _reference_mass(mu, phi, iv, n, _full_width_run), (iv, n)
+
+
+def _max_plus_reach(adjacency, z, n):
+    """F(r), r = 0 .. n, the largest sum of z (on the target state) that r
+    steps from any state add, by the max-plus recursion G_r(v) = max over
+    successors u of z(u) + G_(r-1)(u) (Baccelli et al. 1992, ch. 3)."""
+    G, F = np.zeros(len(z)), [0]
+    for _ in range(n):
+        G = np.where(adjacency > 0, z + G, -np.inf).max(axis=1)
+        F.append(int(G.max()))
+    return np.array(F)
+
+
+def test_reach_bound_is_the_max_plus_reach_or_a_few_sums_above_it():
+    """The DP's band ends at F(r) from the maximum cycle mean and its bias;
+    on 240 random primitive chains (2-5 symbols, memory 1-3, z up to 4) it
+    never lies below the max-plus recursion, so no cell with mass is cut,
+    and it lies at most a few sums above it, so the band stays narrow."""
+    rng, excess = np.random.default_rng(48), []
+    while len(excess) < 240:
+        m, k = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        try:
+            spec = validate_spec((rng.random((m, m)) < 0.6).astype(int))
+        except LdplabError:  # not primitive, or a stranded symbol
+            continue
+        chain = recode(spec, k)
+        z = rng.integers(0, int(rng.integers(1, 5)) + 1, chain.num_states)
+        n = int(rng.integers(1, 151))
+        F, exact = ldp._reach_bound(chain, z, n), _max_plus_reach(chain.adjacency, z, n)
+        assert F[0] == 0 and (F >= exact).all(), (spec, k, z)
+        excess.append(int((F - exact).max()))
+    assert max(excess) <= 10 and np.median(excess) == 0, excess
+
+
+def test_enumeration_reads_the_chain_of_a_replaced_leaf(memory3_leaf):
+    """A leaf rebuilt with another transition matrix enumerates that chain:
+    its log chain is derived from ``transition``, not stored beside it."""
+    _, dyadic3, phi3 = memory3_leaf
+    for n in (3, 6):
+        dp = deviation_mass_exact(dyadic3, phi3, Interval(0.4, 0.6), n, mode="dp").mass
+        enum = deviation_mass_exact(dyadic3, phi3, Interval(0.4, 0.6), n, mode="enumerate").mass
+        assert enum == pytest.approx(dp, rel=1e-12, abs=0.0), n
 
 
 def test_lattice_dp_below_2_to_the_minus_960_keeps_the_plain_bits(fs2):

@@ -637,7 +637,7 @@ def test_solve_mean_is_the_plain_bisection_bit_for_bit():
     seven tilts.  The two share one family, so each tilt is solved once."""
     compared = 0
     for fam, tol in _bisection_families():
-        amin, amax = _cycle_range(fam.chain, fam.pvec)
+        amin, amax = _cycle_range(fam.chain, fam.pvec)[:2]
         alphas = [amin + (amax - amin) * k / 24 for k in range(1, 24)]
         alphas += [amin + 1e-6, amin + 1e-4, amax - 1e-4, amax - 1e-6]
         alphas += [fam.q_prime(t) for t in (-1.5, -1.0, -0.5, 0.5, 0.75, 1.0, 2.0)]
@@ -665,7 +665,7 @@ def test_solve_mean_reuses_the_solved_tilts_zero_and_one(monkeypatch):
 
     compared = 0
     for fam, tol in _bisection_families():
-        amin, amax = _cycle_range(fam.chain, fam.pvec)
+        amin, amax = _cycle_range(fam.chain, fam.pvec)[:2]
         alphas = [amin + (amax - amin) * k / 24 for k in range(1, 24)]
         alphas += [amin + 1e-6, amin + 1e-4, amax - 1e-4, amax - 1e-6]
         alphas += [fam.q_prime(t) for t in (-1.5, -1.0, -0.5, 0.5, 0.75, 1.0, 2.0)]
